@@ -27,6 +27,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The speed gates time the production engines against the per-record oracles
+# the equivalence tests use (``tests/oracles``); nothing under src/ sees them.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 from bench_common import (  # noqa: E402  (path bootstrap above)
     BenchProfile,

@@ -10,8 +10,8 @@
   baseline discussed in the related work.
 * :class:`~repro.assign.accopt.AccOptAssigner` — the paper's greedy
   accuracy-improvement assigner (Algorithm 1), scoring candidate pairs through
-  the batched :mod:`repro.core.accuracy_kernel` by default with the scalar
-  path kept as an ``engine="reference"`` oracle.
+  the batched :mod:`repro.core.accuracy_kernel`, densely or over
+  radius-bounded candidates (``engine="sparse"``).
 
 All strategies implement :class:`repro.core.assignment.TaskAssigner`.
 :func:`build_assigner` constructs any of them by name — the CLI, the examples
@@ -49,9 +49,8 @@ def build_assigner(
     (``"accopt"`` and ``"spatial"``); ``seed`` only affects ``"random"``;
     ``engine`` selects the ``"accopt"`` ΔAcc scoring path (``"vectorized"``
     batched kernels by default, ``"sparse"`` for the candidate-pruned CSR
-    path — which additionally needs ``candidate_radius`` — and
-    ``"reference"`` for the scalar oracle).  ``metrics`` is an optional
-    :class:`~repro.obs.metrics.MetricsRegistry` receiving the sparse
+    path, which additionally needs ``candidate_radius``).  ``metrics`` is an
+    optional :class:`~repro.obs.metrics.MetricsRegistry` receiving the sparse
     engine's candidate-pruning statistics.
     """
     if name not in ASSIGNER_NAMES:

@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--assigner-engine",
         choices=ACCOPT_ENGINES,
         default="vectorized",
-        help="AccOpt ΔAcc scoring path: batched kernels or the scalar reference",
+        help="AccOpt ΔAcc scoring path: dense or candidate-pruned batched kernels",
     )
     campaign.add_argument(
         "--candidate-radius",
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--assigner-engine",
         choices=ACCOPT_ENGINES,
         default="vectorized",
-        help="AccOpt ΔAcc scoring path: batched kernels or the scalar reference",
+        help="AccOpt ΔAcc scoring path: dense or candidate-pruned batched kernels",
     )
     serve.add_argument(
         "--candidate-radius",
@@ -302,6 +302,17 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     )
     platform = build_platform(dataset, budget=1, worker_pool=pool, seed=args.seed)
     distance_model = platform.distance_model
+
+    known_tasks = {task.task_id for task in dataset.tasks}
+    unknown_tasks = [t for t in answers.task_ids() if t not in known_tasks]
+    if unknown_tasks:
+        print(
+            "error: the answer log references tasks not present in the dataset "
+            f"file (e.g. {unknown_tasks[:3]}); collect answers against the same "
+            "--dataset-file",
+            file=sys.stderr,
+        )
+        return 2
 
     # IM needs a worker registry covering every worker id in the answer log; the
     # simulated pool uses deterministic ids, so regenerate it with the same seed

@@ -13,9 +13,9 @@ paper refreshes the model in two tiers:
 :class:`~repro.core.inference.LocationAwareInference` instance, and the whole
 update path is O(changed work), never O(stream history):
 
-* With the default ``engine="vectorized"`` the updater maintains a **live,
-  incrementally grown** :class:`~repro.core.em_kernel.AnswerTensor` spanning
-  the whole answer log plus a row-aligned live
+* The updater maintains a **live, incrementally grown**
+  :class:`~repro.core.em_kernel.AnswerTensor` spanning the whole answer log
+  plus a row-aligned live
   :class:`~repro.core.params.ArrayParameterStore`.  Each micro-batch
   (:meth:`IncrementalUpdater.apply`) appends its new answer rows (registering
   workers and tasks unseen at startup on first sight — the open-world arrival
@@ -31,9 +31,8 @@ update path is O(changed work), never O(stream history):
   dict→array gather (the live store is handed in as the initial estimate).
   The fit's final store is adopted back as the live store, closing the loop
   without ever materialising per-entity containers on the hot path.  The
-  answer log is therefore only *required* by ``engine="reference"`` (the
-  original per-record sweep, kept for equivalence testing) and by callers
-  that re-fit the inference model behind the updater's back.
+  answer log is only consulted to rebuild the tensor for callers that re-fit
+  the inference model behind the updater's back.
 * Publishes are **dirty-row shaped**: the updater tracks which worker/task
   rows changed since the last publish and
   :meth:`IncrementalUpdater.collect_publish_delta` emits a
@@ -60,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable
 
 from repro.core import em_kernel
-from repro.core.inference import LocationAwareInference, _AnswerRecord
+from repro.core.inference import LocationAwareInference
 from repro.core.params import (
     ArrayParameterStore,
     ModelParameters,
@@ -96,8 +95,8 @@ class IncrementalUpdater:
         Per-entity convergence early-exit for the localized sweeps: affected
         entities whose parameters all moved at most this much in a sweep are
         dropped from the remaining sweeps.  ``0.0`` (the default) disables the
-        exit, which keeps the vectorized sweeps bit-equivalent to the
-        reference engine's ``local_iterations`` sweeps; the serving layer
+        exit, which keeps the sweeps equivalent to the paper's
+        ``local_iterations`` per-record sweeps; the serving layer
         enables it with the EM convergence threshold, accepting drift no
         larger than what the convergence criterion already tolerates (and
         undone by the periodic full refreshes).
@@ -113,7 +112,7 @@ class IncrementalUpdater:
     #: :meth:`apply` O(batch) rather than O(entity-history).  Requires a
     #: positive :attr:`early_exit_threshold` (the cache's incremental-EM
     #: semantics already accept convergence-threshold-sized drift; with a
-    #: zero threshold the exact reference-equivalent path is kept).
+    #: zero threshold the exact localized sweeps are kept).
     sufficient_stats: bool = False
     #: After the cached sweeps report an entity settled, skip re-estimating
     #: it for this many subsequent batches it appears in — its statistics
@@ -127,14 +126,12 @@ class IncrementalUpdater:
     #: :func:`~repro.core.em_kernel.em_step`).  ``1.0`` (the default)
     #: disables decay and keeps every path bit-equal to the undecayed
     #: updater.  The epoch count is a pure function of the applied batch
-    #: stream, so crash-recovery replays age answers identically.  Requires
-    #: the vectorized engine.
+    #: stream, so crash-recovery replays age answers identically.
     stat_decay: float = 1.0
     #: Optional per-worker trust weight provider (``worker_id -> weight``),
     #: consulted when building full-refresh weights so distrusted workers'
     #: historical answers are down-weighted.  Returning ``1.0`` for every
-    #: worker keeps the refresh on the exact unweighted path.  Vectorized
-    #: engine only.
+    #: worker keeps the refresh on the exact unweighted path.
     trust_weight_fn: "Callable[[str], float] | None" = None
     #: Admission prior for workers first seen on the live stream.  ``None``
     #: keeps the footnote-3 trusted seed (``p_qualified = 1.0``) — the
@@ -222,14 +219,6 @@ class IncrementalUpdater:
             raise ValueError(
                 f"stat_decay must be in (0, 1], got {self.stat_decay}"
             )
-        if (
-            self.inference.config.engine == "reference"
-            and (self.stat_decay < 1.0 or self.trust_weight_fn is not None)
-        ):
-            raise ValueError(
-                "stat_decay < 1 and trust weights require the vectorized "
-                "engine; the reference engine has no weighted M-step"
-            )
 
     @property
     def full_refresh_due(self) -> bool:
@@ -248,13 +237,11 @@ class IncrementalUpdater:
     ) -> ModelParameters:
         """Update parameters for the workers/tasks touched by ``new_answers``.
 
-        ``answers``, when provided, must already contain ``new_answers``; with
-        the vectorized engine it is only consulted to (re)build the live
-        tensor when the updater joins an existing stream or the log diverged
-        from the tensor (an external fit), so a log-free caller may pass
-        ``None`` and the live tensor is trusted outright.  The reference
-        engine gathers the affected neighbourhood through the answer set's
-        indexes and therefore requires it.  ``parameters`` may be a live
+        ``answers``, when provided, must already contain ``new_answers``; it
+        is only consulted to (re)build the live tensor when the updater joins
+        an existing stream or the log diverged from the tensor (an external
+        fit), so a log-free caller may pass ``None`` and the live tensor is
+        trusted outright.  ``parameters`` may be a live
         :class:`~repro.core.params.ModelParameters` estimate or an
         :class:`~repro.core.params.ArrayParameterStore` snapshot to warm-start
         from (the serving path's restore case).  Returns the updated
@@ -266,36 +253,11 @@ class IncrementalUpdater:
         if not new_answers:
             return parameters if parameters is not None else self.inference.parameters
 
-        # No defensive copy: both update paths below build a fresh
-        # ModelParameters and never mutate their input estimate.
+        # No defensive copy: the update builds a fresh ModelParameters and
+        # never mutates its input estimate.
         params = parameters or self.inference.parameters
         self.answers_since_full_refresh += len(new_answers)
-
-        affected_workers = {answer.worker_id for answer in new_answers}
-        affected_tasks = {answer.task_id for answer in new_answers}
-
-        if self.inference.config.engine == "reference":
-            if answers is None:
-                raise RuntimeError(
-                    "the reference engine gathers the affected neighbourhood "
-                    "through the answer log; pass the AnswerSet"
-                )
-            # Answers relevant to the localized update: everything involving an
-            # affected worker (to re-estimate that worker's quality) or an
-            # affected task (to re-estimate its labels and influence),
-            # gathered through the answer set's per-worker/per-task indexes.
-            relevant = self._relevant_answers(
-                answers, affected_workers, affected_tasks
-            )
-            records = self.inference._build_records(AnswerSet(relevant))
-            for _ in range(self.local_iterations):
-                params = self._local_maximisation(
-                    records, params, affected_workers, affected_tasks
-                )
-        else:
-            params = self._vectorized_update(
-                answers, new_answers, params, affected_workers, affected_tasks
-            )
+        params = self._localized_update(answers, new_answers, params)
 
         # Publish the refreshed estimate on the inference model.
         self.inference._parameters = params
@@ -320,80 +282,58 @@ class IncrementalUpdater:
         live tensor is maintained bit-equal to a from-scratch flatten.
         ``answers``, when provided, must already contain ``new_answers`` and
         is only consulted to recover from a log/tensor divergence (an
-        external fit bypassed this updater); the reference engine requires it.
-        Resets the refresh counter and flags the next publish as a full copy.
+        external fit bypassed this updater).  Resets the refresh counter and
+        flags the next publish as a full copy.
         """
         inference = self.inference
-        if inference.config.engine == "reference":
-            if answers is None:
-                raise RuntimeError(
-                    "reference-engine full refreshes re-fit from the answer "
-                    "log; pass the AnswerSet"
-                )
-            if self.trust_weight_fn is not None:
-                raise RuntimeError(
-                    "the reference engine has no weighted refresh; trust "
-                    "weights require the vectorized engine"
-                )
-            initial = (
-                inference.parameters if warm and inference.is_fitted else None
-            )
-            inference.fit(answers, initial=initial)
+        params = inference.parameters if inference.is_fitted else None
+        warm = warm and params is not None
+        chain_intact = self._tensor is not None and self._synced_params is params
+        if self._tensor is None:
+            self._rebuild_tensor(answers)
+        if warm:
+            self._ensure_store(params)
         else:
-            params = inference.parameters if inference.is_fitted else None
-            warm = warm and params is not None
-            chain_intact = (
-                self._tensor is not None and self._synced_params is params
+            # A cold re-fit ignores the current estimate entirely; the
+            # fitted store below replaces whatever live store existed.
+            self._store = None
+            self._synced_params = None
+        if new_answers:
+            if self.stat_decay < 1.0:
+                self._decay_epoch += 1
+            result = self._tensor.append_answers(
+                new_answers,
+                inference._tasks,
+                inference._workers,
+                inference.distance_model,
+                inference.config.function_set,
             )
-            if self._tensor is None:
-                self._rebuild_tensor(answers)
-            if warm:
-                self._ensure_store(params)
-            else:
-                # A cold re-fit ignores the current estimate entirely; the
-                # fitted store below replaces whatever live store existed.
-                self._store = None
-                self._synced_params = None
-            if new_answers:
-                if self.stat_decay < 1.0:
-                    self._decay_epoch += 1
-                result = self._tensor.append_answers(
-                    new_answers,
-                    inference._tasks,
-                    inference._workers,
-                    inference.distance_model,
-                    inference.config.function_set,
-                )
-                self._stamp_arrivals(
-                    self._tensor.num_answers - self._arrival_len
-                )
-                if self._store is not None:
-                    self._admit_new_entities(result)
-            self._recover_if_diverged(
-                answers, params if warm else None, chain_intact
+            self._stamp_arrivals(self._tensor.num_answers - self._arrival_len)
+            if self._store is not None:
+                self._admit_new_entities(result)
+        self._recover_if_diverged(answers, params if warm else None, chain_intact)
+        inference.fit_from_tensor(
+            self._tensor,
+            initial=params if warm else None,
+            initial_store=self._store if warm else None,
+            answer_weights=self._refresh_weights(),
+        )
+        # Adopt the fit's final store as the live store: it is row-aligned
+        # with the tensor by construction and freshly allocated by the EM
+        # loop, so the updater owns it outright.
+        self._store = inference.last_result.store
+        self._synced_params = inference.parameters
+        self._prune_carryover()
+        self._reset_sufficient_stats()
+        if self.metrics is not None:
+            result = inference.last_result
+            self.metrics.histogram("em_refresh_iterations").observe(
+                float(result.iterations)
             )
-            inference.fit_from_tensor(
-                self._tensor,
-                initial=params if warm else None,
-                initial_store=self._store if warm else None,
-                answer_weights=self._refresh_weights(),
-            )
-            # Adopt the fit's final store as the live store: it is row-aligned
-            # with the tensor by construction and freshly allocated by the EM
-            # loop, so the updater owns it outright.
-            self._store = inference.last_result.store
-            self._synced_params = inference.parameters
-            self._prune_carryover()
-            self._reset_sufficient_stats()
-            if self.metrics is not None:
-                result = inference.last_result
-                self.metrics.histogram("em_refresh_iterations").observe(
-                    float(result.iterations)
+            if result.convergence_trace:
+                self.metrics.histogram("em_refresh_final_delta").observe(
+                    float(result.convergence_trace[-1])
                 )
-                if result.convergence_trace:
-                    self.metrics.histogram("em_refresh_final_delta").observe(
-                        float(result.convergence_trace[-1])
-                    )
         self._publish_full = True
         self._dirty_workers.clear()
         self._dirty_tasks.clear()
@@ -425,11 +365,6 @@ class IncrementalUpdater:
         batches keep applying against it.
         """
         inference = self.inference
-        if inference.config.engine == "reference":
-            raise RuntimeError(
-                "pipelined refreshes fit from the live tensor; the reference "
-                "engine has no tensor form"
-            )
         if self._tensor is None:
             from repro.serving import LiveStateError
 
@@ -910,16 +845,13 @@ class IncrementalUpdater:
         protocol: steady-state micro-batches publish through
         :meth:`collect_publish_delta` instead.  ``answers`` is only needed to
         (re)build the live tensor when the updater has none yet or the log
-        diverged; with ``engine="reference"`` (which never maintains live
-        state) the estimate is flattened directly instead.
+        diverged.
         """
         params = parameters
         if isinstance(params, ArrayParameterStore):
             params = params.to_model()
         if params is None:
             params = self.inference.parameters
-        if self.inference.config.engine == "reference":
-            return self._flatten_params(params)
         chain_intact = self._tensor is not None and self._synced_params is params
         if self._tensor is None:
             self._rebuild_tensor(answers)
@@ -951,15 +883,14 @@ class IncrementalUpdater:
         publish — O(changed) gathered values the snapshot layer applies onto
         the previous snapshot's immutable base.  ``None`` means the caller
         must take the :meth:`publish_store` full-copy path: first publish,
-        reference engine, a full refresh or re-sync happened, the entity
+        a full refresh or re-sync happened, the entity
         universe grew (row alignment with the base broke), or the estimate
         was replaced outside this updater.  Collecting does **not** consume
         the dirty state — call :meth:`mark_published` once the delta has
         actually been published.
         """
         if (
-            self.inference.config.engine == "reference"
-            or self._store is None
+            self._store is None
             or self._publish_full
             or self._synced_params is not self.inference.parameters
         ):
@@ -997,57 +928,12 @@ class IncrementalUpdater:
         self._dirty_tasks.clear()
         self._publish_full = False
 
-    def _flatten_params(self, params: ModelParameters) -> ArrayParameterStore:
-        """Flatten ``params`` (plus carryover) the dict way — reference path."""
-        workers = dict(self._extra_workers)
-        workers.update(params.workers)
-        tasks = dict(self._extra_tasks)
-        tasks.update(params.tasks)
-        merged = ModelParameters(
-            function_set=params.function_set,
-            alpha=params.alpha,
-            workers=workers,
-            tasks=tasks,
-        )
-        task_ids = sorted(tasks)
-        return merged.to_array_store(
-            sorted(workers), task_ids, [tasks[task_id].num_labels for task_id in task_ids]
-        )
-
     # ------------------------------------------------------------------ internal
-    @staticmethod
-    def _relevant_answers(
-        answers: AnswerSet,
-        affected_workers: set[str],
-        affected_tasks: set[str],
-    ) -> list[Answer]:
-        """Union of the affected workers' and tasks' answers, deduplicated.
-
-        Deterministic regardless of submission order: affected workers in
-        sorted order (each worker's answers sorted by task), then the affected
-        tasks' remaining answers (sorted by worker).
-        """
-        seen: set[tuple[str, str]] = set()
-        relevant: list[Answer] = []
-        for worker_id in sorted(affected_workers):
-            for answer in answers.answers_of_worker(worker_id):
-                seen.add((answer.worker_id, answer.task_id))
-                relevant.append(answer)
-        for task_id in sorted(affected_tasks):
-            for answer in answers.answers_of_task(task_id):
-                key = (answer.worker_id, answer.task_id)
-                if key not in seen:
-                    seen.add(key)
-                    relevant.append(answer)
-        return relevant
-
-    def _vectorized_update(
+    def _localized_update(
         self,
         answers: AnswerSet | None,
         new_answers: list[Answer],
         params: ModelParameters,
-        affected_workers: set[str],
-        affected_tasks: set[str],
     ) -> ModelParameters:
         """Localized sweeps against the live tensor, masked to affected rows.
 
@@ -1055,13 +941,13 @@ class IncrementalUpdater:
         (admitting first-seen workers/tasks into the row-aligned live store),
         the relevant answer rows are gathered through the tensor's per-entity
         indexes, and the sweeps run
-        :func:`repro.core.em_kernel.localized_sweeps` in place — unaffected
-        entities keep their current estimates, exactly like the per-record
-        sweep that never accumulates sums for them.  Nothing is rebuilt per
-        batch; a tensor rebuild only happens when the updater joins an
-        existing stream cold or the log diverged from the tensor (an external
-        fit), and an estimate replaced outside this updater costs only an
-        O(entities) store re-gather.
+        :func:`repro.core.em_kernel.localized_sweeps` in place — only the
+        workers who submitted the answers and the tasks they touched are
+        re-estimated; everything else keeps its current estimate.  Nothing is
+        rebuilt per batch; a tensor rebuild only happens when the updater
+        joins an existing stream cold or the log diverged from the tensor (an
+        external fit), and an estimate replaced outside this updater costs
+        only an O(entities) store re-gather.
         """
         inference = self.inference
         chain_intact = self._tensor is not None and self._synced_params is params
@@ -1093,10 +979,12 @@ class IncrementalUpdater:
             store = self._store
 
         affected_w = np.asarray(
-            sorted(tensor.worker_row(w) for w in affected_workers), dtype=np.intp
+            sorted({tensor.worker_row(a.worker_id) for a in new_answers}),
+            dtype=np.intp,
         )
         affected_t = np.asarray(
-            sorted(tensor.task_row(t) for t in affected_tasks), dtype=np.intp
+            sorted({tensor.task_row(a.task_id) for a in new_answers}),
+            dtype=np.intp,
         )
         if self.sufficient_stats and self.early_exit_threshold > 0.0:
             cache = self._stat_cache
@@ -1228,76 +1116,3 @@ class IncrementalUpdater:
         if report.settled_task_rows is not None:
             for row in report.settled_task_rows:
                 self._task_defer[int(row)] = self.settle_defer_batches
-
-    def _local_maximisation(
-        self,
-        records: list[_AnswerRecord],
-        params: ModelParameters,
-        affected_workers: set[str],
-        affected_tasks: set[str],
-    ) -> ModelParameters:
-        """One E+M sweep restricted to the affected workers and tasks."""
-        function_count = len(self.inference.config.function_set)
-
-        z_sums: dict[str, np.ndarray] = {}
-        z_counts: dict[str, int] = {}
-        dt_sums: dict[str, np.ndarray] = {}
-        dt_counts: dict[str, int] = {}
-        i_sums: dict[str, float] = {}
-        i_counts: dict[str, int] = {}
-        dw_sums: dict[str, np.ndarray] = {}
-
-        for record in records:
-            post_z1, post_i1, post_dw, post_dt, _ = self.inference._expectation(
-                record, params
-            )
-            n_labels = record.responses.size
-
-            if record.task_id in affected_tasks:
-                if record.task_id not in z_sums:
-                    z_sums[record.task_id] = np.zeros(n_labels)
-                    z_counts[record.task_id] = 0
-                    dt_sums[record.task_id] = np.zeros(function_count)
-                    dt_counts[record.task_id] = 0
-                z_sums[record.task_id] += post_z1
-                z_counts[record.task_id] += 1
-                dt_sums[record.task_id] += post_dt.sum(axis=0)
-                dt_counts[record.task_id] += n_labels
-
-            if record.worker_id in affected_workers:
-                if record.worker_id not in i_sums:
-                    i_sums[record.worker_id] = 0.0
-                    i_counts[record.worker_id] = 0
-                    dw_sums[record.worker_id] = np.zeros(function_count)
-                i_sums[record.worker_id] += float(post_i1.sum())
-                i_counts[record.worker_id] += n_labels
-                dw_sums[record.worker_id] += post_dw.sum(axis=0)
-
-        new_params = params.copy()
-        for task_id in z_sums:
-            count = max(1, z_counts[task_id])
-            influence = dt_sums[task_id] / max(1, dt_counts[task_id])
-            total = influence.sum()
-            influence = (
-                influence / total
-                if total > 0
-                else self.inference.config.function_set.uniform_weights()
-            )
-            new_params.tasks[task_id] = TaskParameters(
-                label_probs=np.clip(z_sums[task_id] / count, 0.0, 1.0),
-                influence_weights=influence,
-            )
-        for worker_id in i_sums:
-            count = max(1, i_counts[worker_id])
-            weights = dw_sums[worker_id] / count
-            total = weights.sum()
-            weights = (
-                weights / total
-                if total > 0
-                else self.inference.config.function_set.uniform_weights()
-            )
-            new_params.workers[worker_id] = WorkerParameters(
-                p_qualified=min(1.0, max(0.0, i_sums[worker_id] / count)),
-                distance_weights=weights,
-            )
-        return new_params

@@ -202,10 +202,9 @@ every stage:
   chain depth, ingest answers/batches/retries/drops, fault-injector
   armed/fired counts, and the EM work rate (localized sweeps run, entities
   settled by early-exit, refresh iterations and final convergence deltas);
-* **serving histograms** — assignment latency (the registry histogram is the
-  authoritative percentile source; the frontend's
-  :class:`~repro.serving.frontend.LatencyReservoir` stays as a compatibility
-  view) and snapshot age at serve time;
+* **serving histograms** — assignment latency (the same histogram backs the
+  frontend's :class:`~repro.serving.frontend.FrontendStats` percentiles) and
+  snapshot age at serve time;
 * **the phase breakdown** — :class:`~repro.obs.trace.PhaseTimeline` samples
   cumulative stage totals every round, and
   :meth:`ServingReport.summary <repro.serving.service.ServingReport.summary>`

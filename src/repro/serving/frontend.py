@@ -10,11 +10,11 @@ read-side boundary that makes that safe.
 Parameters are pushed into the assigner only when the snapshot version
 actually changed since the last request (assigners keep their own
 :class:`~repro.core.params.ModelParameters` reference), and every request
-records its wall-clock latency so the service can report p50/p95 assignment
-latencies — the paper's Figure 14 concern, measured on the serving path.
-AccOpt requests run on the batched ΔAcc kernels
-(:mod:`repro.core.accuracy_kernel`) by default; ``engine="reference"``
-selects the scalar oracle path instead.
+records its wall-clock latency in the ``assign_latency_seconds`` histogram so
+the service can report p50/p95 assignment latencies — the paper's Figure 14
+concern, measured on the serving path.  AccOpt requests run on the batched
+ΔAcc kernels (:mod:`repro.core.accuracy_kernel`), dense by default or
+candidate-pruned with ``engine="sparse"``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.assign import build_assigner
 from repro.data.models import AnswerSet, Task, Worker
@@ -37,77 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version reported while no snapshot has been published yet.
 NO_SNAPSHOT = -1
-
-#: Latency samples retained by :class:`LatencyReservoir` — percentiles are
-#: exact up to this many requests, a uniform random sample beyond it.
-LATENCY_RESERVOIR_SIZE = 4096
-
-
-class LatencyReservoir:
-    """Bounded uniform sample of latency observations (Vitter's Algorithm R).
-
-    A long-lived frontend serves an unbounded number of requests; keeping
-    every latency sample is O(requests) memory for percentile reporting that
-    a fixed-size sample answers just as well.  The reservoir keeps the first
-    ``capacity`` observations verbatim — percentiles are **exact** below the
-    cap — and from then on each new observation replaces a uniformly random
-    retained one with probability ``capacity / n``, yielding an unbiased
-    uniform sample of the whole stream.  Replacement draws use a dedicated
-    seeded generator so reported percentiles are reproducible run to run.
-    """
-
-    __slots__ = ("_capacity", "_samples", "_count", "_rng")
-
-    def __init__(self, capacity: int = LATENCY_RESERVOIR_SIZE, seed: int = 0x1A7E) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._samples: list[float] = []
-        self._count = 0
-        self._rng = np.random.default_rng(seed)
-
-    def __len__(self) -> int:
-        """Number of retained samples (≤ capacity)."""
-        return len(self._samples)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Total observations ever recorded (retained or not)."""
-        return self._count
-
-    @property
-    def samples(self) -> list[float]:
-        """The retained samples, in no particular order."""
-        return self._samples
-
-    @property
-    def saturated(self) -> bool:
-        """Whether observations have started displacing retained samples."""
-        return self._count > self._capacity
-
-    def add(self, value: float) -> None:
-        self._count += 1
-        if len(self._samples) < self._capacity:
-            self._samples.append(float(value))
-            return
-        slot = int(self._rng.integers(self._count))
-        if slot < self._capacity:
-            self._samples[slot] = float(value)
-
-    def percentile(self, percentile: float) -> float:
-        """Latency percentile over the retained sample.
-
-        Contract: an empty reservoir returns exactly ``0.0`` — never ``NaN``
-        and never a division error — so rate/latency reporting is total.
-        """
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self._samples, percentile))
-
 
 @dataclass(frozen=True)
 class AssignmentResponse:
@@ -125,12 +52,11 @@ class AssignmentResponse:
 
 @dataclass
 class FrontendStats:
-    """Aggregate request counters plus a bounded latency reservoir.
+    """Aggregate request counters plus the request-latency histogram.
 
-    ``latencies`` holds at most :data:`LATENCY_RESERVOIR_SIZE` samples —
-    exact percentiles below the cap, an unbiased uniform sample of the whole
-    request stream beyond it — so a long-lived frontend's stats stay O(1)
-    in the number of requests served.
+    ``latency`` is a bounded log-linear :class:`~repro.obs.metrics.Histogram`
+    of per-request seconds, so a long-lived frontend's stats stay O(1) in the
+    number of requests served.
     """
 
     requests: int = 0
@@ -150,20 +76,15 @@ class FrontendStats:
     #: Assignments where one optimiser-picked task was swapped for the
     #: worker's nearest unanswered task (a trust probe).
     probes: int = 0
-    latencies: LatencyReservoir = field(default_factory=LatencyReservoir)
-
-    @property
-    def latencies_ms(self) -> list[float]:
-        """The retained latency samples (compatibility view of the reservoir)."""
-        return self.latencies.samples
+    latency: Histogram = field(default_factory=Histogram)
 
     def latency_percentile(self, percentile: float) -> float:
         """Latency percentile in milliseconds.
 
         Contract: exactly ``0.0`` when no requests were served (empty
-        reservoir) — never ``NaN`` or a raised error.
+        histogram) — never ``NaN`` or a raised error.
         """
-        return self.latencies.percentile(percentile)
+        return self.latency.percentile(percentile) * 1000.0
 
     @property
     def p50_latency_ms(self) -> float:
@@ -219,14 +140,13 @@ class AssignmentFrontend:
         # Tracker version whose quarantine set was last pushed into the
         # assigner's exclusion list; synced lazily per request.
         self._seen_reputation_version: int | None = None
-        self._stats = FrontendStats()
-        # The registry histogram is the authoritative percentile source when
-        # telemetry is wired; the reservoir stays as a compatibility view.
+        # With telemetry wired, the stats' latency histogram is the registry's
+        # ``assign_latency_seconds`` series, so both report the same numbers.
         self._tracer = tracer
-        self._latency_hist: Histogram | None = None
+        self._stats = FrontendStats()
         self._age_hist: Histogram | None = None
         if tracer is not None and tracer.metrics is not None:
-            self._latency_hist = tracer.metrics.histogram("assign_latency_seconds")
+            self._stats.latency = tracer.metrics.histogram("assign_latency_seconds")
             self._age_hist = tracer.metrics.histogram("snapshot_age_at_serve_seconds")
 
     @property
@@ -243,14 +163,7 @@ class AssignmentFrontend:
         return self._seen_version
 
     def latency_percentile_ms(self, percentile: float) -> float:
-        """Assignment latency percentile in milliseconds (0.0 before any request).
-
-        Prefers the registry histogram (exact counts over the whole request
-        stream) and falls back to the reservoir's retained sample when the
-        frontend runs without telemetry.
-        """
-        if self._latency_hist is not None and self._latency_hist.count > 0:
-            return self._latency_hist.percentile(percentile) * 1000.0
+        """Assignment latency percentile in milliseconds (0.0 before any request)."""
         return self._stats.latency_percentile(percentile)
 
     # --------------------------------------------------------- open-world growth
@@ -364,11 +277,9 @@ class AssignmentFrontend:
         self._stats.tasks_assigned += len(task_ids)
         if not task_ids:
             self._stats.empty_responses += 1
-        self._stats.latencies.add(latency_ms)
+        self._stats.latency.observe(latency_ms / 1000.0)
         if self._tracer is not None:
             self._tracer.record("assign", latency_ms / 1000.0)
-            if self._latency_hist is not None:
-                self._latency_hist.observe(latency_ms / 1000.0)
             if self._age_hist is not None and snapshot is not None:
                 self._age_hist.observe(age_s)
         return AssignmentResponse(

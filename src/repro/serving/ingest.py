@@ -23,8 +23,7 @@ Every model update is O(changed), never O(stream):
   (:attr:`IngestConfig.retain_answer_log`), capping ingestor memory at the
   live tensor instead of tensor + an ever-growing duplicate log.  The log is
   retained automatically when the caller shares its own
-  :class:`~repro.data.models.AnswerSet` (the simulator/platform case) or runs
-  the per-record ``engine="reference"``, which has no tensor form;
+  :class:`~repro.data.models.AnswerSet` (the simulator/platform case);
 * after every update a new snapshot is published to the
   :class:`~repro.serving.snapshots.SnapshotStore` — the only surface the
   assignment frontend reads.  Steady-state publishes are **dirty-row
@@ -107,7 +106,7 @@ class IngestConfig:
     off: the vectorised update path (incremental sweeps *and* full refreshes)
     runs entirely from the live tensor, so retaining the log only duplicates
     it — O(stream) memory for nothing.  Retention is forced on when the
-    caller shares an external answer set or uses the reference engine.
+    caller shares an external answer set.
 
     ``local_convergence_threshold`` is the per-entity early-exit for the
     incremental sweeps (see
@@ -122,8 +121,7 @@ class IngestConfig:
     after launch (``None`` resolves to
     ``max(max_batch_answers, full_refresh_interval // 4)``).  ``False`` keeps
     the serial loop — the equivalence oracle the pipelined path is tested
-    against.  The reference engine always runs serially (it has no tensor
-    form to snapshot).
+    against.
     """
 
     max_batch_answers: int = 64
@@ -319,8 +317,7 @@ class AnswerIngestor:
         :class:`~repro.data.models.AnswerSet`); sharing implies retention —
         every submitted event is appended to it.  By default the ingestor is
         **log-free**: it owns an empty answer set that stays empty unless
-        :attr:`IngestConfig.retain_answer_log` is set (or the reference
-        engine, which cannot run without the log, is configured).
+        :attr:`IngestConfig.retain_answer_log` is set.
     journal:
         Optional write-ahead :class:`~repro.serving.journal.AnswerJournal`;
         accepted events are appended (and flushed) *before* they are buffered,
@@ -366,12 +363,6 @@ class AnswerIngestor:
         self._faults = faults
         self._checkpoints = checkpoints
         self._reputation = reputation
-        if reputation is not None and inference.config.engine == "reference":
-            raise ValueError(
-                "reputation tracking requires the vectorized engine: the "
-                "reference path has no per-answer weighting to down-weight "
-                "quarantined workers with"
-            )
         # A metricless tracer keeps the span/record call sites branch-free;
         # it observes nothing and costs one no-op call per micro-batch.
         self._tracer = tracer if tracer is not None else Tracer()
@@ -399,11 +390,7 @@ class AnswerIngestor:
         self._applied_seq = 0
         self._answers_at_checkpoint = 0
         self._answers_at_stat_epoch = 0
-        self._retain = (
-            self._config.retain_answer_log
-            or answers is not None
-            or inference.config.engine == "reference"
-        )
+        self._retain = self._config.retain_answer_log or answers is not None
         self._answers = answers if answers is not None else AnswerSet()
         threshold = self._config.local_convergence_threshold
         if threshold is None:
@@ -423,11 +410,6 @@ class AnswerIngestor:
             # Full refreshes down-weight quarantined workers' *historical*
             # answers (their new submissions are refused at intake).
             self._updater.trust_weight_fn = reputation.trust_weight
-        # Pipelined refreshes need a tensor to snapshot — the reference
-        # engine has none, so it always runs the serial loop.
-        self._pipeline = (
-            self._config.pipeline and inference.config.engine != "reference"
-        )
         lag = self._config.pipeline_lag_answers
         if lag is None:
             lag = max(
@@ -681,7 +663,10 @@ class AnswerIngestor:
         # fitted estimate to keep serving from; the first fit and the forced
         # final fit stay serial.
         launch_background = (
-            run_full and not full and self._pipeline and self._inference.is_fitted
+            run_full
+            and not full
+            and self._config.pipeline
+            and self._inference.is_fitted
         )
         if run_full and not launch_background:
             source = "full_refresh"

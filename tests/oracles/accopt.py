@@ -1,4 +1,4 @@
-"""Accuracy estimation for (hypothetical) task assignments.
+"""Scalar accuracy estimation (Section IV-B) and the scalar AccOpt greedy.
 
 Section IV-B of the paper derives how the inference accuracy of a label
 ``l_{t,k}`` changes when the task is assigned to additional workers:
@@ -14,18 +14,22 @@ Section IV-B of the paper derives how the inference accuracy of a label
 * the expected accuracy improvement ΔAcc (Equation 20) weights the two branches
   by the current ``P(z)``.
 
-:class:`LabelAccuracy` is the per-label pair with its recursion;
+:class:`LabelAccuracy` is the per-label pair with its recursion,
 :class:`AccuracyEstimator` wires it to the model parameters, the answer set and
-the distance model so the assigner can ask "what do I gain by assigning task
-``t`` to worker ``w`` (given who else already has it this round)?".
+the distance model, and :func:`assign_accopt` drives both through Algorithm 1
+with a lazy max-heap.  Together they are the one-label-at-a-time specification
+the batched kernels of :mod:`repro.core.accuracy_kernel` and the dense/sparse
+:class:`~repro.assign.accopt.AccOptAssigner` engines are tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
+from repro.core.assignment import TaskAssigner
 from repro.core.params import ModelParameters
 from repro.data.models import AnswerSet, Task, Worker
 from repro.spatial.distance import DistanceModel
@@ -116,12 +120,10 @@ class LabelAccuracy:
 def enumerate_expected_accuracy(
     p_z1: float, answer_count: int, answer_accuracies: Sequence[float]
 ) -> LabelAccuracy:
-    """Exponential-time reference computation of ``Acc_{t,k}(Ŵ(t))``.
+    """Exponential-time computation of ``Acc_{t,k}(Ŵ(t))`` from its definition.
 
     Enumerates every combination of agree/disagree answers from the
     hypothetical workers, exactly as the definition preceding Lemma 2 requires.
-    Only used by tests to validate that :meth:`LabelAccuracy.add_workers`
-    (the linear-time recursion) matches the definition.
     """
     baseline = LabelAccuracy.from_current_inference(p_z1, answer_count)
     n = len(answer_accuracies)
@@ -230,3 +232,146 @@ class AccuracyEstimator:
             for new, base in zip(new_states, baselines)
         )
         return improvement, new_states
+
+
+def assign_accopt(
+    tasks: dict[str, Task],
+    workers: dict[str, Worker],
+    distance_model: DistanceModel,
+    parameters: ModelParameters,
+    available_workers: Sequence[str],
+    h: int,
+    answers: AnswerSet,
+) -> dict[str, list[str]]:
+    """Algorithm 1 one pair at a time: per-label recursion plus a lazy max-heap."""
+    estimator = AccuracyEstimator(tasks, workers, distance_model, parameters, answers)
+    assignment: dict[str, list[str]] = {w: [] for w in available_workers}
+
+    # Per-task baseline accuracy pairs (Equation 15) and the evolving state
+    # reflecting the workers tentatively assigned this round (Ŵ(t)).
+    baselines: dict[str, list[LabelAccuracy]] = {}
+    current_states: dict[str, list[LabelAccuracy]] = {}
+    # Cache of estimated answer accuracies P(z = r_w) per (worker, task).
+    answer_accuracy: dict[tuple[str, str], float] = {}
+
+    def states_for(task_id: str) -> list[LabelAccuracy]:
+        if task_id not in baselines:
+            base = estimator.current_label_accuracies(task_id)
+            baselines[task_id] = base
+            current_states[task_id] = list(base)
+        return current_states[task_id]
+
+    def improvement_for(worker_id: str, task_id: str) -> tuple[float, list[LabelAccuracy]]:
+        key = (worker_id, task_id)
+        if key not in answer_accuracy:
+            answer_accuracy[key] = estimator.answer_accuracy(worker_id, task_id)
+        states = states_for(task_id)
+        new_states = [state.add_worker(answer_accuracy[key]) for state in states]
+        gain = sum(
+            new.expected_improvement_over(base)
+            for new, base in zip(new_states, baselines[task_id])
+        )
+        # Subtract the gain already banked by previously selected workers so
+        # the heap ranks *marginal* improvements, as line 19 of Algorithm 1.
+        already = sum(
+            state.expected_improvement_over(base)
+            for state, base in zip(states, baselines[task_id])
+        )
+        return gain - already, new_states
+
+    # Candidate tasks per worker (tasks not yet answered by that worker).
+    candidates: dict[str, set[str]] = {
+        worker_id: set(tasks) - answers.tasks_of_worker(worker_id)
+        for worker_id in available_workers
+    }
+
+    # Max-heap of (-marginal_gain, version, worker, task).  Whenever a task
+    # receives a new tentative worker its version bumps, the task is eagerly
+    # re-scored for every remaining worker (Algorithm 1's incremental
+    # re-score), and entries carrying an old version are discarded on pop.  The
+    # re-score must be eager: a pick can *increase* other workers' marginal
+    # gains on the same task (a negative gain shrinks in magnitude as ``m_t``
+    # grows), so a lazy heap would commit an in-between pair and miss the true
+    # greedy maximum.
+    task_version: dict[str, int] = {}
+    heap: list[tuple[float, int, str, str]] = []
+
+    def push(worker_id: str, task_id: str) -> None:
+        gain, _ = improvement_for(worker_id, task_id)
+        heapq.heappush(heap, (-gain, task_version.get(task_id, 0), worker_id, task_id))
+
+    for worker_id in available_workers:
+        for task_id in candidates[worker_id]:
+            push(worker_id, task_id)
+
+    remaining_capacity = {worker_id: h for worker_id in available_workers}
+    total_to_assign = sum(
+        min(h, len(candidates[worker_id])) for worker_id in available_workers
+    )
+    assigned_total = 0
+    while assigned_total < total_to_assign and heap:
+        _, version, worker_id, task_id = heapq.heappop(heap)
+        if remaining_capacity[worker_id] <= 0:
+            continue
+        if task_id not in candidates[worker_id]:
+            continue
+        if version != task_version.get(task_id, 0):
+            continue  # superseded by the eager re-score below
+
+        _, new_states = improvement_for(worker_id, task_id)
+        current_states[task_id] = new_states
+        task_version[task_id] = task_version.get(task_id, 0) + 1
+        assignment[worker_id].append(task_id)
+        candidates[worker_id].discard(task_id)
+        remaining_capacity[worker_id] -= 1
+        assigned_total += 1
+
+        # Re-score the chosen task for every worker that can still take it.
+        for other_id in available_workers:
+            if remaining_capacity[other_id] > 0 and task_id in candidates[other_id]:
+                push(other_id, task_id)
+
+    return assignment
+
+
+class ScalarAccOptAssigner(TaskAssigner):
+    """:func:`assign_accopt` behind the :class:`TaskAssigner` contract.
+
+    Lets the oracle run wherever an assigner is expected (the framework loop,
+    the assigner contract tests), with the same request validation and
+    quarantine exclusion as the production engines.
+    """
+
+    def __init__(
+        self,
+        tasks: list[Task],
+        workers: list[Worker],
+        distance_model: DistanceModel,
+        parameters: ModelParameters | None = None,
+    ) -> None:
+        super().__init__(tasks, workers)
+        self._distance_model = distance_model
+        self._parameters = parameters or ModelParameters()
+
+    def update_parameters(self, parameters: ModelParameters) -> None:
+        self._parameters = parameters
+
+    def assign(
+        self, available_workers: Sequence[str], h: int, answers: AnswerSet
+    ) -> dict[str, list[str]]:
+        self._validate_request(available_workers, h)
+        workers = self._assignable_workers(available_workers)
+        assignment: dict[str, list[str]] = {}
+        if workers:
+            assignment = assign_accopt(
+                self._tasks,
+                self._workers,
+                self._distance_model,
+                self._parameters,
+                workers,
+                h,
+                answers,
+            )
+        for worker_id in available_workers:
+            assignment.setdefault(worker_id, [])
+        return assignment

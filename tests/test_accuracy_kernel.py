@@ -4,13 +4,12 @@ The vectorized AccOpt engine is only trustworthy if its batched kernels
 reproduce the scalar reference exactly (within float tolerance):
 
 * the flat Lemma 2 recursion (:func:`~repro.core.accuracy_kernel.add_workers`,
-  :func:`~repro.core.accuracy_kernel.add_worker`) against
-  :meth:`~repro.core.accuracy.LabelAccuracy.add_workers` and the exponential
-  :func:`~repro.core.accuracy.enumerate_expected_accuracy` definition;
-* the batched Equation 9 matrix against
-  :meth:`~repro.core.accuracy.AccuracyEstimator.answer_accuracy`;
+  :func:`~repro.core.accuracy_kernel.add_worker`) against the oracle's
+  ``LabelAccuracy.add_workers`` and the exponential
+  ``enumerate_expected_accuracy`` definition (:mod:`oracles.accopt`);
+* the batched Equation 9 matrix against ``AccuracyEstimator.answer_accuracy``;
 * the closed-form marginal-gain matrix against the scalar ``gain − already``
-  computation the reference greedy loop performs.
+  computation the oracle's greedy loop performs.
 """
 
 from __future__ import annotations
@@ -19,13 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from repro.core import accuracy_kernel
-from repro.core.accuracy import (
+from oracles.accopt import (
     AccuracyEstimator,
     LabelAccuracy,
     enumerate_expected_accuracy,
 )
+
+from repro.core import accuracy_kernel
 from repro.core.inference import LocationAwareInference
 from repro.spatial.distance import normalised_distance_matrix
 

@@ -1,9 +1,10 @@
-"""Vectorized vs reference AccOpt: the two engines must assign identically.
+"""Vectorized AccOpt vs the scalar oracle: the two must assign identically.
 
-The vectorized engine replaces the reference's per-pair scalar scoring with the
-batched kernels of :mod:`repro.core.accuracy_kernel`; both implement the exact
-greedy Algorithm 1, so on the same inputs they must produce the *same
-assignments*, not merely similar ones.  These tests pin that, from single
+The vectorized engine replaces the oracle's per-pair scalar scoring
+(:mod:`oracles.accopt`) with the batched kernels of
+:mod:`repro.core.accuracy_kernel`; both implement the exact greedy
+Algorithm 1, so on the same inputs they must produce the *same assignments*,
+not merely similar ones.  These tests pin that, from single
 batches up to a full seeded campaign where every round's assignment feeds the
 next round's inference.
 """
@@ -11,6 +12,7 @@ next round's inference.
 from __future__ import annotations
 
 import pytest
+from oracles.accopt import ScalarAccOptAssigner
 
 from repro.assign.accopt import AccOptAssigner
 from repro.core.inference import InferenceConfig, LocationAwareInference
@@ -31,18 +33,10 @@ def fitted_parameters(small_dataset, worker_pool, distance_model, collected_answ
 
 def build_pair(small_dataset, worker_pool, distance_model, parameters=None):
     vectorized = AccOptAssigner(
-        small_dataset.tasks,
-        worker_pool.workers,
-        distance_model,
-        parameters,
-        engine="vectorized",
+        small_dataset.tasks, worker_pool.workers, distance_model, parameters
     )
-    reference = AccOptAssigner(
-        small_dataset.tasks,
-        worker_pool.workers,
-        distance_model,
-        parameters,
-        engine="reference",
+    reference = ScalarAccOptAssigner(
+        small_dataset.tasks, worker_pool.workers, distance_model, parameters
     )
     return vectorized, reference
 
@@ -79,7 +73,7 @@ class TestBatchEquivalence:
 
     def test_identical_on_tied_gains_and_unsorted_workers(self, small_dataset):
         """Exactly tied gains (co-located workers on cold-start priors) must
-        break identically in both engines regardless of the caller's
+        break identically on both sides regardless of the caller's
         available_workers order."""
         from repro.data.models import Worker
         from repro.spatial.distance import DistanceModel
@@ -91,11 +85,9 @@ class TestBatchEquivalence:
         ]
         tasks = small_dataset.tasks[:3]
         distance_model = DistanceModel(max_distance=small_dataset.max_distance)
-        vectorized = AccOptAssigner(
-            tasks, workers, distance_model, ModelParameters(), engine="vectorized"
-        )
-        reference = AccOptAssigner(
-            tasks, workers, distance_model, ModelParameters(), engine="reference"
+        vectorized = AccOptAssigner(tasks, workers, distance_model, ModelParameters())
+        reference = ScalarAccOptAssigner(
+            tasks, workers, distance_model, ModelParameters()
         )
         for order in (["w2", "w1"], ["w1", "w2"]):
             assert vectorized.assign(order, 2, AnswerSet()) == reference.assign(
@@ -135,13 +127,13 @@ class TestCampaignEquivalence:
     ):
         """A full seeded campaign (assignment → simulated answers → inference →
         assignment ...) produces the identical answer log and accuracy under
-        both engines."""
+        both assigners."""
         from repro.crowd.answer_model import AnswerSimulator
         from repro.crowd.arrival import UniformRandomArrival
         from repro.crowd.budget import Budget
         from repro.crowd.platform import CrowdPlatform
 
-        def run(engine: str):
+        def run(assigner_cls):
             platform = CrowdPlatform(
                 dataset=small_dataset,
                 worker_pool=worker_pool,
@@ -165,11 +157,8 @@ class TestCampaignEquivalence:
                 distance_model,
                 config=config.inference,
             )
-            assigner = AccOptAssigner(
-                small_dataset.tasks,
-                worker_pool.workers,
-                distance_model,
-                engine=engine,
+            assigner = assigner_cls(
+                small_dataset.tasks, worker_pool.workers, distance_model
             )
             framework = PoiLabellingFramework(
                 platform, inference, assigner, config=config
@@ -180,8 +169,8 @@ class TestCampaignEquivalence:
             )
             return result, log
 
-        result_v, log_v = run("vectorized")
-        result_r, log_r = run("reference")
+        result_v, log_v = run(AccOptAssigner)
+        result_r, log_r = run(ScalarAccOptAssigner)
         assert log_v == log_r
         assert result_v.assignments_spent == result_r.assignments_spent
         assert result_v.final_accuracy == pytest.approx(result_r.final_accuracy)

@@ -1,7 +1,10 @@
 """Tests for repro.baselines.dawid_skene."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from oracles.dawid_skene import fit_dawid_skene
 
 from repro.baselines.dawid_skene import DawidSkeneConfig, DawidSkeneInference
 from repro.data.models import Answer, AnswerSet
@@ -10,7 +13,8 @@ from repro.data.models import Answer, AnswerSet
 class TestConfig:
     def test_defaults_valid(self):
         config = DawidSkeneConfig()
-        assert config.engine == "vectorized"
+        # One implementation: there is no engine to select.
+        assert "engine" not in {f.name for f in dataclasses.fields(config)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -19,55 +23,54 @@ class TestConfig:
             DawidSkeneConfig(convergence_threshold=-1)
         with pytest.raises(ValueError):
             DawidSkeneConfig(smoothing=-0.1)
-        with pytest.raises(ValueError):
-            DawidSkeneConfig(engine="gpu")
 
 
 class TestEngineEquivalence:
     """The vectorized flat-index engine against the per-observation oracle."""
 
     def _fit_both(self, tasks, answers, **kwargs):
-        vectorized = DawidSkeneInference(
-            tasks, DawidSkeneConfig(engine="vectorized", **kwargs)
-        ).fit(answers)
-        reference = DawidSkeneInference(
-            tasks, DawidSkeneConfig(engine="reference", **kwargs)
-        ).fit(answers)
-        return vectorized, reference
+        config = DawidSkeneConfig(**kwargs)
+        vectorized = DawidSkeneInference(tasks, config).fit(answers)
+        return vectorized, fit_dawid_skene(tasks, answers, config)
 
     def test_label_probabilities_match_oracle(self, small_dataset, collected_answers):
-        vectorized, reference = self._fit_both(small_dataset.tasks, collected_answers)
+        vectorized, (probabilities, _, _) = self._fit_both(
+            small_dataset.tasks, collected_answers
+        )
         for task in small_dataset.tasks:
             assert np.abs(
                 vectorized.label_probabilities(task.task_id)
-                - reference.label_probabilities(task.task_id)
+                - probabilities[task.task_id]
             ).max() <= 1e-9
 
     def test_confusion_matrices_match_oracle(self, small_dataset, collected_answers):
-        vectorized, reference = self._fit_both(small_dataset.tasks, collected_answers)
+        vectorized, (_, confusion, _) = self._fit_both(
+            small_dataset.tasks, collected_answers
+        )
         for worker_id in collected_answers.worker_ids():
             assert np.abs(
-                vectorized.worker_confusion(worker_id)
-                - reference.worker_confusion(worker_id)
+                vectorized.worker_confusion(worker_id) - confusion[worker_id]
             ).max() <= 1e-9
 
     def test_iteration_traces_match_oracle(self, small_dataset, collected_answers):
-        vectorized, reference = self._fit_both(
+        vectorized, (_, _, result) = self._fit_both(
             small_dataset.tasks, collected_answers, max_iterations=7,
             convergence_threshold=0.0,
         )
-        assert vectorized.last_result.iterations == reference.last_result.iterations
-        assert vectorized.last_result.converged == reference.last_result.converged
+        assert vectorized.last_result.iterations == result.iterations
+        assert vectorized.last_result.converged == result.converged
         assert vectorized.last_result.convergence_trace == pytest.approx(
-            reference.last_result.convergence_trace, abs=1e-9
+            result.convergence_trace, abs=1e-9
         )
 
     def test_empty_answer_set_matches_oracle(self, small_dataset):
-        vectorized, reference = self._fit_both(small_dataset.tasks, AnswerSet())
+        vectorized, (probabilities, _, result) = self._fit_both(
+            small_dataset.tasks, AnswerSet()
+        )
         task_id = small_dataset.tasks[0].task_id
         assert np.allclose(vectorized.label_probabilities(task_id), 0.5)
-        assert np.allclose(reference.label_probabilities(task_id), 0.5)
-        assert vectorized.last_result.iterations == reference.last_result.iterations
+        assert np.allclose(probabilities[task_id], 0.5)
+        assert vectorized.last_result.iterations == result.iterations
 
 
 class TestDawidSkene:

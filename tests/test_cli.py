@@ -106,6 +106,32 @@ class TestCollectAndInfer:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_infer_with_answers_from_another_dataset_errors(
+        self, dataset_file, tmp_path, capsys
+    ):
+        other_dataset = tmp_path / "other.json"
+        answers_path = tmp_path / "answers.json"
+        main(["generate", "--dataset", "beijing", "--out", str(other_dataset)])
+        main(
+            [
+                "collect",
+                "--dataset-file", str(other_dataset),
+                "--answers-per-task", "1",
+                "--out", str(answers_path),
+            ]
+        )
+        code = main(
+            [
+                "infer",
+                "--dataset-file", str(dataset_file),
+                "--answers-file", str(answers_path),
+                "--methods", "MV", "EM", "IM",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestCampaign:
     def test_campaign_runs_and_reports(self, dataset_file, capsys):

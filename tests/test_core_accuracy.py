@@ -1,13 +1,13 @@
-"""Tests for repro.core.accuracy (Equations 15-20, Lemmas 1-2)."""
+"""Tests for the scalar accuracy oracle (Equations 15-20, Lemmas 1-2)."""
 
 import numpy as np
 import pytest
-
-from repro.core.accuracy import (
+from oracles.accopt import (
     AccuracyEstimator,
     LabelAccuracy,
     enumerate_expected_accuracy,
 )
+
 from repro.core.inference import LocationAwareInference
 
 

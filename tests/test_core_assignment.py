@@ -1,6 +1,8 @@
-"""Tests for the AccOpt assigner (Algorithm 1), on both scoring engines."""
+"""Tests for the AccOpt assigner (Algorithm 1), on both scoring engines and
+the scalar oracle."""
 
 import pytest
+from oracles.accopt import AccuracyEstimator, ScalarAccOptAssigner
 
 from repro.assign.accopt import ACCOPT_ENGINES, AccOptAssigner
 from repro.core.inference import LocationAwareInference
@@ -16,30 +18,29 @@ def fitted_parameters(small_dataset, worker_pool, distance_model, collected_answ
     return model.parameters
 
 
-@pytest.fixture(params=ACCOPT_ENGINES)
+@pytest.fixture(params=ACCOPT_ENGINES + ("reference",))
 def engine(request):
     return request.param
 
 
 @pytest.fixture()
 def assigner(small_dataset, worker_pool, distance_model, fitted_parameters, engine):
-    assigner = AccOptAssigner(
-        small_dataset.tasks,
-        worker_pool.workers,
-        distance_model,
-        engine=engine,
-        # The sparse engine needs a candidate radius; a Beijing-extent
-        # covering value keeps it exactly equivalent to the dense engines.
-        candidate_radius=50.0 if engine == "sparse" else None,
-    )
+    if engine == "reference":
+        assigner = ScalarAccOptAssigner(
+            small_dataset.tasks, worker_pool.workers, distance_model
+        )
+    else:
+        assigner = AccOptAssigner(
+            small_dataset.tasks,
+            worker_pool.workers,
+            distance_model,
+            engine=engine,
+            # The sparse engine needs a candidate radius; a Beijing-extent
+            # covering value keeps it exactly equivalent to the dense engine.
+            candidate_radius=50.0 if engine == "sparse" else None,
+        )
     assigner.update_parameters(fitted_parameters)
     return assigner
-
-
-def test_legacy_import_path_still_works():
-    from repro.core.assignment import AccOptAssigner as legacy
-
-    assert legacy is AccOptAssigner
 
 
 class TestValidation:
@@ -50,10 +51,12 @@ class TestValidation:
             AccOptAssigner(small_dataset.tasks, [], distance_model)
 
     def test_unknown_engine(self, small_dataset, worker_pool, distance_model):
-        with pytest.raises(ValueError):
-            AccOptAssigner(
-                small_dataset.tasks, worker_pool.workers, distance_model, engine="gpu"
-            )
+        for engine in ("gpu", "reference"):
+            with pytest.raises(ValueError):
+                AccOptAssigner(
+                    small_dataset.tasks, worker_pool.workers, distance_model,
+                    engine=engine,
+                )
 
     def test_invalid_h(self, assigner, worker_pool):
         with pytest.raises(ValueError):
@@ -159,7 +162,6 @@ class TestGreedyObjective:
         import numpy as np
 
         from repro.assign.random_assigner import RandomAssigner
-        from repro.core.accuracy import AccuracyEstimator
 
         workers = worker_pool.worker_ids[:4]
         accopt = AccOptAssigner(

@@ -30,6 +30,9 @@ class TestInferenceConfig:
             InferenceConfig(convergence_threshold=-1.0)
         with pytest.raises(ValueError):
             InferenceConfig(initial_p_qualified=1.0)
+        for engine in ("gpu", "reference"):
+            with pytest.raises(ValueError):
+                InferenceConfig(engine=engine)
 
 
 class TestConstruction:

@@ -1,16 +1,18 @@
-"""Equivalence of the vectorized EM engine against the per-record reference.
+"""Equivalence of the vectorized EM engine against the per-record oracle.
 
-The vectorized engine (``engine="vectorized"``) must reproduce the reference
-per-record engine (``engine="reference"``) to within floating-point noise —
-the tolerance enforced here is 1e-9 on every parameter and on the (relative)
-log-likelihood, across cold starts, warm starts and incremental updates, on
-both multi-label and binary corpora.
+The vectorized engine must reproduce the paper's per-record EM
+(:mod:`oracles.em`) to within floating-point noise — the tolerance enforced
+here is 1e-9 on every parameter and on the (relative) log-likelihood, across
+cold starts, warm starts and incremental updates, on both multi-label and
+binary corpora.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from oracles import em as oracle
 
 from repro.core.incremental import IncrementalUpdater
 from repro.core.inference import InferenceConfig, LocationAwareInference
@@ -59,14 +61,11 @@ def build_corpus(num_tasks=10, labels_per_task=4, num_workers=6, seed=77, answer
 
 
 def run_both(dataset, pool, distance_model, answers, initial=None, **config_kwargs):
-    results = {}
-    for engine in ("reference", "vectorized"):
-        config = InferenceConfig(engine=engine, **config_kwargs)
-        model = LocationAwareInference(
-            dataset.tasks, pool.workers, distance_model, config=config
-        )
-        results[engine] = model.run_em(answers, initial=initial)
-    return results["reference"], results["vectorized"]
+    model = LocationAwareInference(
+        dataset.tasks, pool.workers, distance_model,
+        config=InferenceConfig(**config_kwargs),
+    )
+    return oracle.run_em(model, answers, initial), model.run_em(answers, initial=initial)
 
 
 def assert_parameters_close(a, b, tol=PARAM_TOL):
@@ -147,7 +146,7 @@ class TestWarmStartEquivalence:
     def test_warm_start_under_different_alpha(self):
         """A warm start fit under another alpha: only the first E-step sees it.
 
-        The reference M-step re-emits parameters under the *config's* alpha
+        The per-record M-step re-emits parameters under the *config's* alpha
         every iteration, so the vectorized engine must not keep the
         warm-start's alpha beyond iteration one — and the returned parameters
         must carry the config's alpha for Equation 9 consumers.
@@ -194,26 +193,17 @@ class TestIncrementalEquivalence:
         for answer in new_answers:
             grown.add(answer)
 
-        # Seed both engines with the *identical* estimate so the test isolates
+        # Seed both sides with the *identical* estimate so the test isolates
         # the incremental sweep itself.
-        seed_model = LocationAwareInference(
-            dataset.tasks, pool.workers, distance_model,
-            config=InferenceConfig(engine="reference"),
+        model = LocationAwareInference(dataset.tasks, pool.workers, distance_model)
+        seed_params = oracle.run_em(model, answers).parameters
+        expected = oracle.incremental_update(
+            model, grown, new_answers, seed_params.copy(), local_iterations=2
         )
-        seed_params = seed_model.run_em(answers).parameters
+        model.warm_start(seed_params.copy())
+        updated = IncrementalUpdater(model, local_iterations=2).apply(grown, new_answers)
 
-        updated = {}
-        for engine in ("reference", "vectorized"):
-            config = InferenceConfig(engine=engine)
-            model = LocationAwareInference(
-                dataset.tasks, pool.workers, distance_model, config=config
-            )
-            model._parameters = seed_params.copy()
-            model._fitted = True
-            updater = IncrementalUpdater(model, local_iterations=2)
-            updated[engine] = updater.apply(grown, new_answers)
-
-        assert_parameters_close(updated["reference"], updated["vectorized"])
+        assert_parameters_close(expected, updated)
 
 
 @pytest.mark.slow

@@ -15,9 +15,7 @@ Pins the O(changed) update-path invariants:
   exactly the store a full-copy publish would have produced, and published
   versions stay immutable under later publishes;
 * **per-entity early exit** — threshold 0 keeps the sweeps bit-identical to
-  the exact engine, a saturating threshold degenerates to a single sweep;
-* **bounded latency reservoir** — exact percentiles below the cap, bounded
-  memory above it.
+  the exact engine, a saturating threshold degenerates to a single sweep.
 """
 
 import numpy as np
@@ -25,11 +23,10 @@ import pytest
 
 from repro.core.em_kernel import AnswerTensor
 from repro.core.incremental import IncrementalUpdater
-from repro.core.inference import InferenceConfig, LocationAwareInference
+from repro.core.inference import LocationAwareInference
 from repro.core.params import ArrayParameterStore
 from repro.crowd.answer_model import AnswerSimulator
 from repro.data.models import POI, Answer, AnswerSet, Task, Worker
-from repro.serving.frontend import LatencyReservoir
 from repro.serving.ingest import AnswerEvent, AnswerIngestor, IngestConfig
 from repro.serving.snapshots import SnapshotStore, load_snapshot
 from repro.spatial.geometry import GeoPoint
@@ -496,42 +493,6 @@ class TestEarlyExit:
             IngestConfig(local_convergence_threshold=-1.0)
 
 
-class TestLatencyReservoir:
-    def test_exact_percentiles_below_cap(self):
-        reservoir = LatencyReservoir(capacity=64)
-        values = [float(v) for v in range(50)]
-        for value in values:
-            reservoir.add(value)
-        assert len(reservoir) == 50
-        assert reservoir.count == 50
-        assert not reservoir.saturated
-        assert reservoir.percentile(50.0) == pytest.approx(np.percentile(values, 50.0))
-        assert reservoir.percentile(95.0) == pytest.approx(np.percentile(values, 95.0))
-
-    def test_bounded_beyond_cap_and_representative(self):
-        reservoir = LatencyReservoir(capacity=128, seed=7)
-        for value in range(10_000):
-            reservoir.add(float(value))
-        assert len(reservoir) == 128
-        assert reservoir.count == 10_000
-        assert reservoir.saturated
-        # A uniform sample of 0..9999: the median estimate lands mid-range.
-        assert 2_000 <= reservoir.percentile(50.0) <= 8_000
-
-    def test_frontend_stats_compatibility_view(self):
-        from repro.serving.frontend import FrontendStats
-
-        stats = FrontendStats()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            stats.latencies.add(value)
-        assert stats.latencies_ms == [1.0, 2.0, 3.0, 4.0]
-        assert stats.p50_latency_ms == pytest.approx(2.5)
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-
-
 class TestFitFromTensor:
     def test_matches_fit_on_the_same_answers(
         self, small_dataset, worker_pool, distance_model, collected_answers
@@ -555,22 +516,3 @@ class TestFitFromTensor:
         )
         offline.fit(collected_answers)
         assert_parameters_close(from_tensor, offline.parameters, atol=0.0)
-
-    def test_reference_engine_rejects_tensor_fit(
-        self, small_dataset, worker_pool, distance_model, collected_answers
-    ):
-        model = LocationAwareInference(
-            small_dataset.tasks,
-            worker_pool.workers,
-            distance_model,
-            config=InferenceConfig(engine="reference"),
-        )
-        tensor = AnswerTensor.build(
-            collected_answers,
-            model._tasks,
-            model._workers,
-            distance_model,
-            model.config.function_set,
-        )
-        with pytest.raises(ValueError, match="reference"):
-            model.fit_from_tensor(tensor)

@@ -116,8 +116,8 @@ class TestStats:
         stats = frontend.stats
         assert stats.requests == 4
         assert stats.tasks_assigned == 8
-        assert len(stats.latencies_ms) == 4
-        assert all(latency >= 0.0 for latency in stats.latencies_ms)
+        assert stats.latency.count == 4
+        assert stats.latency.min >= 0.0
         assert stats.p50_latency_ms <= stats.p95_latency_ms
 
     def test_empty_percentiles_are_zero(
@@ -172,68 +172,6 @@ class TestStats:
         response = frontend.assign(worker_id, 2, answers)
         assert response.task_ids == ()
         assert frontend.stats.empty_responses == 1
-
-
-class TestLatencyReservoir:
-    def test_invalid_capacity_rejected(self):
-        from repro.serving.frontend import LatencyReservoir
-
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-
-    def test_empty_reservoir_reports_zero(self):
-        from repro.serving.frontend import LatencyReservoir
-
-        reservoir = LatencyReservoir(capacity=4)
-        assert len(reservoir) == 0
-        assert reservoir.count == 0
-        assert not reservoir.saturated
-        assert reservoir.percentile(50) == 0.0
-        assert reservoir.percentile(99) == 0.0
-
-    def test_single_sample_is_every_percentile(self):
-        from repro.serving.frontend import LatencyReservoir
-
-        reservoir = LatencyReservoir(capacity=4)
-        reservoir.add(3.5)
-        for percentile in (0, 50, 90, 99, 100):
-            assert reservoir.percentile(percentile) == 3.5
-        assert len(reservoir) == 1
-        assert not reservoir.saturated
-
-    def test_exact_below_capacity(self):
-        from repro.serving.frontend import LatencyReservoir
-
-        reservoir = LatencyReservoir(capacity=100)
-        values = [float(i) for i in range(50)]
-        for value in values:
-            reservoir.add(value)
-        assert sorted(reservoir.samples) == values
-        assert not reservoir.saturated
-        assert reservoir.percentile(0) == 0.0
-        assert reservoir.percentile(100) == 49.0
-
-    def test_at_capacity_retention_is_bounded(self):
-        from repro.serving.frontend import LatencyReservoir
-
-        reservoir = LatencyReservoir(capacity=8, seed=123)
-        for i in range(200):
-            reservoir.add(float(i))
-        assert len(reservoir) == 8
-        assert reservoir.count == 200
-        assert reservoir.saturated
-        # Every retained sample came from the stream.
-        assert all(0.0 <= sample <= 199.0 for sample in reservoir.samples)
-
-    def test_percentiles_are_monotonic(self):
-        from repro.serving.frontend import LatencyReservoir
-
-        reservoir = LatencyReservoir(capacity=64, seed=7)
-        for i in range(1000):
-            reservoir.add((i * 37 % 101) / 7.0)
-        levels = (1, 25, 50, 75, 90, 99)
-        reported = [reservoir.percentile(level) for level in levels]
-        assert reported == sorted(reported)
 
 
 # ------------------------------------------------------------ trust probes

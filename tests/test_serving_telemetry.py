@@ -196,8 +196,8 @@ class TestFrontendTelemetry:
         )
         # Snapshot age at serve was observed against the published snapshot.
         assert metrics.get("snapshot_age_at_serve_seconds").count == 5
-        # The reservoir compatibility view still fills in parallel.
-        assert len(frontend.stats.latencies) == 5
+        # The stats report off the same registry histogram.
+        assert frontend.stats.latency is hist
 
     def test_empty_reservoir_and_histogram_percentiles_are_zero(
         self, small_dataset, worker_pool, distance_model
