@@ -7,16 +7,25 @@ comparison is per-iteration cost, and writes
 ``benchmarks/results/BENCH_inference_speed.json`` — speedup plus per-iteration
 milliseconds — so future PRs can track the trajectory.  The run fails if the
 vectorized engine falls below ``MIN_SPEEDUP`` over the per-record loop.
+
+The E-step layer is also timed on its own: the median and interquartile range
+of ``EM_STEP_RUNS`` calls of :func:`repro.core.em_kernel.em_step` on the same
+corpus (N = 20k answers, M = 200k label responses), and the tracemalloc peak
+of one step.  These are recorded, not gated.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import tracemalloc
+
+import numpy as np
 
 from bench_common import RESULTS_DIR, build_inference_corpus
 from oracles import em as oracle
 
+from repro.core import em_kernel
 from repro.core.inference import InferenceConfig, LocationAwareInference
 
 #: Fixed workload: answers in the corpus and EM iterations per run.
@@ -24,8 +33,50 @@ CORPUS_ANSWERS = 20_000
 EM_ITERATIONS = 3
 
 #: The regression gate: minimum required speedup of vectorized over reference.
-#: Raised from the initial 5x once the kernel reliably measured ~18x (PR 2).
+#: Raised from the initial 5x once the kernel reliably measured ~18x.
 MIN_SPEEDUP = 10.0
+
+#: Timed ``em_step`` calls behind the recorded median and IQR.
+EM_STEP_RUNS = 9
+
+
+def _em_step_profile(corpus) -> dict:
+    """Median/IQR milliseconds and tracemalloc peak of one ``em_step``."""
+    dataset, pool, distance_model, answers = corpus
+    config = InferenceConfig()
+    tensor = em_kernel.AnswerTensor.build(
+        answers,
+        {task.task_id: task for task in dataset.tasks},
+        {worker.worker_id: worker for worker in pool.workers},
+        distance_model,
+        config.function_set,
+    )
+    store = em_kernel.initial_store(
+        tensor, config.function_set, config.alpha, config.initial_p_qualified
+    )
+    for _ in range(3):  # move off the cold start, as a refresh would
+        store, _ = em_kernel.em_step(tensor, store)
+    samples = []
+    for _ in range(EM_STEP_RUNS):
+        started = time.perf_counter()
+        em_kernel.em_step(tensor, store)
+        samples.append(1000.0 * (time.perf_counter() - started))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        em_kernel.em_step(tensor, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {
+        "em_step_answers": tensor.num_answers,
+        "em_step_label_responses": tensor.num_label_responses,
+        "em_step_runs": EM_STEP_RUNS,
+        "em_step_median_ms": round(float(median), 3),
+        "em_step_iqr_ms": [round(float(q1), 3), round(float(q3), 3)],
+        "em_step_tracemalloc_peak_mb": round((peak - base) / 2**20, 3),
+    }
 
 
 def _time_engine(run_em, corpus) -> tuple[float, int]:
@@ -64,6 +115,7 @@ def test_inference_speed_regression(benchmark):
         "vectorized_per_iteration_ms": round(vectorized_ms, 3),
         "speedup": round(speedup, 2),
         "min_required_speedup": MIN_SPEEDUP,
+        **_em_step_profile(corpus),
     }
     path = RESULTS_DIR / "BENCH_inference_speed.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

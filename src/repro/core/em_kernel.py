@@ -17,17 +17,22 @@ straight off it via
 flatten below happens once per *stream*, not once per refresh.  Per full
 iteration:
 
-* the E-step posteriors of *all* answers are computed as array expressions
-  mirroring the oracle's ``expectation`` term by term, and
+* the E-step (:func:`_estep_posteriors`) computes the oracle's
+  ``expectation`` in closed form, but *fused*: the per-label-response
+  posteriors of the distance weights are only ever summed per worker or
+  task, and each has the form ``dw[a] · (c1 + c2 · q_row[a])`` with two
+  scalars per label response.  Those scalars are summed per answer with one
+  ``np.bincount``, so the ``|F|``-wide work runs over the N answers, never
+  over the M label responses; only ``P(z = 1 | r)`` stays per label
+  response, because it feeds that response's own label slot;
 * the M-step scatter-adds (``z_sums``, ``dt_sums``, ``i_sums``, ``dw_sums``)
   become segment sums via ``np.bincount`` over the index arrays.
 
-Per-bin accumulation order under ``np.bincount`` equals the answer-log order
-the per-record loop uses, so the two engines agree to floating-point noise
-(well below the ``1e-9`` tolerance the equivalence tests enforce).  Cost per
-iteration is still the paper's ``O(B · |L_t| · |F|)`` — only the constant
-factor changes, from a Python interpreter step per answer to a handful of
-C-level passes over contiguous arrays.
+The engines agree to floating-point noise (well below the ``1e-9``
+tolerance the equivalence tests enforce).  Cost per iteration is
+``O(M + N · |F|)`` array work instead of the per-record loop's
+``O(M · |F|)`` interpreter steps, with O(M) scalar and O(N · |F|) transient
+memory.
 
 Parameters live in an :class:`~repro.core.params.ArrayParameterStore`; the id
 oriented :class:`~repro.core.params.ModelParameters` view is materialised only
@@ -98,7 +103,6 @@ class AnswerTensor:
         f_values: np.ndarray,
         r_answer: np.ndarray,
         r_worker: np.ndarray,
-        r_task: np.ndarray,
         r_label: np.ndarray,
         responses: np.ndarray,
         task_of_label: np.ndarray,
@@ -113,7 +117,6 @@ class AnswerTensor:
         self._f_values = np.asarray(f_values)
         self._r_answer = np.asarray(r_answer)
         self._r_worker = np.asarray(r_worker)
-        self._r_task = np.asarray(r_task)
         self._r_label = np.asarray(r_label)
         self._responses = np.asarray(responses)
         self._task_of_label = np.asarray(task_of_label)
@@ -193,10 +196,6 @@ class AnswerTensor:
     @property
     def r_worker(self) -> np.ndarray:
         return self._r_worker[: self._num_label_rows]
-
-    @property
-    def r_task(self) -> np.ndarray:
-        return self._r_task[: self._num_label_rows]
 
     @property
     def r_label(self) -> np.ndarray:
@@ -307,7 +306,6 @@ class AnswerTensor:
             f_values=self.f_values.copy(),
             r_answer=self.r_answer.copy(),
             r_worker=self.r_worker.copy(),
-            r_task=self.r_task.copy(),
             r_label=self.r_label.copy(),
             responses=self.responses.copy(),
             task_of_label=self.task_of_label.copy(),
@@ -482,7 +480,7 @@ class AnswerTensor:
         self._distances = _grown_buffer(self._distances, base + n_new)
         self._f_values = _grown_buffer(self._f_values, base + n_new)
         self._a_label_start = _grown_buffer(self._a_label_start, base + n_new)
-        for name in ("_r_answer", "_r_worker", "_r_task", "_r_label", "_responses"):
+        for name in ("_r_answer", "_r_worker", "_r_label", "_responses"):
             setattr(self, name, _grown_buffer(getattr(self, name), label_base + total))
 
         self._a_worker[base : base + n_new] = aw
@@ -494,12 +492,10 @@ class AnswerTensor:
 
         r_answer = base + np.repeat(np.arange(n_new, dtype=np.intp), counts)
         within = np.arange(total, dtype=np.intp) - np.repeat(starts - label_base, counts)
-        r_task = at[r_answer - base]
         self._r_answer[label_base : label_base + total] = r_answer
         self._r_worker[label_base : label_base + total] = aw[r_answer - base]
-        self._r_task[label_base : label_base + total] = r_task
         self._r_label[label_base : label_base + total] = (
-            self._label_offsets[r_task] + within
+            self._label_offsets[at[r_answer - base]] + within
         )
         if total:
             self._responses[label_base : label_base + total] = np.concatenate(
@@ -597,8 +593,7 @@ class AnswerTensor:
         r_answer = np.repeat(np.arange(num_answers, dtype=np.intp), counts)
         starts = np.cumsum(counts) - counts  # first flat slot of each answer
         within = np.arange(r_answer.size, dtype=np.intp) - np.repeat(starts, counts)
-        r_task = a_task_arr[r_answer]
-        r_label = label_offsets[r_task] + within
+        r_label = label_offsets[a_task_arr[r_answer]] + within
         responses = (
             np.concatenate(response_rows) if response_rows else np.empty(0, dtype=float)
         )
@@ -614,7 +609,6 @@ class AnswerTensor:
             f_values=f_values,
             r_answer=r_answer,
             r_worker=a_worker_arr[r_answer],
-            r_task=r_task,
             r_label=r_label,
             responses=responses,
             task_of_label=task_of_label,
@@ -656,10 +650,17 @@ def initial_store(
     )
 
 
+#: Floor of the weighted count denominators of the M-step.  An entity with
+#: no weight divides its zero sums by it; whole counts are >= 1, so it never
+#: binds on unit weights, while decayed or trust-weighted counts below 1 stay
+#: exact.
+_DENOM_FLOOR = 1e-9
+
+
 def _segment_sum_columns(
     values: np.ndarray, index: np.ndarray, size: int
 ) -> np.ndarray:
-    """Sum the rows of ``values`` (M, F) into ``size`` bins given by ``index``."""
+    """Sum the rows of ``values`` (n, F) into ``size`` bins given by ``index``."""
     out = np.empty((size, values.shape[1]), dtype=float)
     for column in range(values.shape[1]):
         out[:, column] = np.bincount(index, weights=values[:, column], minlength=size)
@@ -684,66 +685,117 @@ def _normalise_rows(
     return weights
 
 
+def _batch_label_rows(
+    tensor: AnswerTensor, answer_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(expand, label_rows)`` of a batch of answer rows.
+
+    ``label_rows`` lists the tensor label rows of the selected answers
+    (contiguous per answer, in batch order) and ``expand`` maps each of them
+    to its answer's position in ``answer_rows``.
+    """
+    counts = tensor.num_labels[tensor.a_task[answer_rows]]
+    expand = np.repeat(np.arange(answer_rows.size, dtype=np.intp), counts)
+    label_rows = np.repeat(
+        tensor.a_label_start[answer_rows] - (np.cumsum(counts) - counts), counts
+    )
+    label_rows += np.arange(label_rows.size, dtype=np.intp)
+    return expand, label_rows
+
+
 def _estep_posteriors(
-    alpha: float,
-    p_qualified: np.ndarray,
-    dw: np.ndarray,
-    dt: np.ndarray,
+    store: ArrayParameterStore,
+    answer_workers: np.ndarray,
+    answer_tasks: np.ndarray,
     f_values: np.ndarray,
     expand: np.ndarray,
-    pz1: np.ndarray,
+    r_label: np.ndarray,
     observed_one: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form E-step marginals for a batch of answers.
+    """Closed-form E-step of a batch of answers, reduced to per-answer sums.
 
-    ``p_qualified`` (already clipped), ``dw``, ``dt`` and ``f_values`` are
-    per-answer arrays (``n`` rows); ``expand`` maps each label response to its
-    owning position in those arrays; ``pz1`` (already clipped) and
-    ``observed_one`` are per label response.  Returns
-    ``(post_z1, post_i1, post_dw, post_dt, evidence)`` — the closed-form
-    E-step marginals of every answer at once, shared by the full
-    :func:`em_step` and the localized :func:`em_step_localized`.
+    ``answer_workers``, ``answer_tasks`` (store rows) and ``f_values`` are
+    per answer (``n`` rows); ``expand`` maps each label response to its
+    owning position in those arrays; ``r_label`` (flat label slots) and
+    ``observed_one`` are per label response (``m`` rows).  Parameters are read
+    from ``store`` and clipped away from 0 and 1 as the per-record E-step does.
+
+    For a label response of answer ``a`` the distance marginal is
+    ``P(d_w = f | r) = dw[a, f] · (c1 + c2 · q_row[a, f])`` with the scalars
+    ``c1 = (pu/2 + pq·P(z≠r)) / P(r)`` and ``c2 = pq·(P(z=r) − P(z≠r)) / P(r)``
+    (``P(d_t = f | r)`` likewise with ``q_col``).  Every F-wide marginal is
+    only ever summed per worker or task, so it is summed per answer first
+    through the two scalars: no ``(m, |F|)`` block is formed, and the F-wide
+    work runs over the ``n`` answers.  Only ``P(z = 1 | r)`` stays per label
+    response, because each response feeds its own label slot.
+
+    Returns ``(post_z1, post_i1, post_dw, post_dt, log_evidence)``:
+    ``post_z1`` per label response, then per answer the sums over its label
+    responses of ``P(i = 1 | r)``, ``P(d_w | r)`` (n, |F|), ``P(d_t | r)``
+    (n, |F|) and ``log P(r)``.  Shared by :func:`em_step`,
+    :func:`em_step_localized` and :class:`SufficientStatCache`.
     """
+    n = answer_workers.size
     floor = PROBABILITY_FLOOR
-    p_unqualified = 1.0 - p_qualified
+    alpha = store.alpha
+    p_qualified = np.clip(store.p_qualified[answer_workers], floor, 1.0 - floor)
+    dw = store.distance_weights[answer_workers]
+    dt = store.influence_weights[answer_tasks]
     worker_quality = np.einsum("nf,nf->n", dw, f_values)  # DQ_w per answer
     poi_quality = np.einsum("nf,nf->n", dt, f_values)  # IQ_t per answer
     s_q = np.clip(
         alpha * worker_quality + (1.0 - alpha) * poi_quality, floor, 1.0 - floor
     )
-    # Per-function rows/columns of q(d_w, d_t) marginalised over the other
-    # variable's current weights.
-    q_row = alpha * f_values + (1.0 - alpha) * poi_quality[:, None]
-    q_col = alpha * worker_quality[:, None] + (1.0 - alpha) * f_values
+    half_pu = 0.5 * (1.0 - p_qualified)
 
-    # ---- per-label-response quantities (M,) --------------------------------
-    pq_m = p_qualified[expand]
-    pu_m = p_unqualified[expand]
-    sq_m = s_q[expand]
-    pz_equal_r = np.where(observed_one, pz1, 1.0 - pz1)  # P(z = r)
-    pz_not_r = 1.0 - pz_equal_r
+    # ---- per label response (m,): scalars only, in three buffers ----------
+    observed_zero = ~observed_one
+    pz_equal_r = store.label_probs[r_label]  # P(z = 1), then P(z = r)
+    np.clip(pz_equal_r, 1e-9, 1.0 - 1e-9, out=pz_equal_r)
+    np.subtract(1.0, pz_equal_r, out=pz_equal_r, where=observed_zero)
+    # P(r) = pu/2 + pq·(P(z=r)·s_q + P(z≠r)·(1 − s_q)), affine in P(z = r).
+    evidence = np.take(p_qualified * (2.0 * s_q - 1.0), expand)
+    evidence *= pz_equal_r
+    scratch = np.take(half_pu + p_qualified * (1.0 - s_q), expand)
+    evidence += scratch
+    np.maximum(evidence, 1e-12, out=evidence)
+    np.log(evidence, out=scratch)
+    log_evidence = np.bincount(expand, weights=scratch, minlength=n)
+    inverse = np.reciprocal(evidence, out=evidence)  # 1 / P(r)
+    np.multiply(pz_equal_r, inverse, out=scratch)
+    sum_equal = np.bincount(expand, weights=scratch, minlength=n)  # Σ P(z=r)/P(r)
+    np.subtract(1.0, pz_equal_r, out=scratch)
+    scratch *= inverse
+    sum_not = np.bincount(expand, weights=scratch, minlength=n)  # Σ P(z≠r)/P(r)
+    # P(z = r | r) = P(z=r)·(pu/2 + pq·s_q) / P(r) is P(z = 1 | r) when r = 1
+    # and its complement when r = 0.  (mode="clip" only skips the buffered
+    # copy of np.take; every index is in range.)
+    post_z1 = np.take(half_pu + p_qualified * s_q, expand, out=scratch, mode="clip")
+    post_z1 *= pz_equal_r
+    post_z1 *= inverse
+    np.subtract(1.0, post_z1, out=post_z1, where=observed_zero)
+    del pz_equal_r, evidence, inverse, observed_zero  # before the F-wide work
 
-    # P(r) per label response: the normaliser of the joint posterior.
-    evidence = 0.5 * pu_m + pq_m * (pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m))
-    evidence = np.clip(evidence, 1e-12, None)
-
-    # P(z = 1 | r): the z=1 branch uses s_q when r=1 and (1-s_q) when r=0.
-    agree_factor = np.where(observed_one, sq_m, 1.0 - sq_m)
-    post_z1 = pz1 * (0.5 * pu_m + pq_m * agree_factor) / evidence
-    post_i1 = pq_m * (pz_equal_r * sq_m + pz_not_r * (1.0 - sq_m)) / evidence
-
-    # P(d_w = a | r) and P(d_t = a | r) per label response: (M, |F|).
-    q_row_m = q_row[expand]
-    agree_dw = pz_equal_r[:, None] * q_row_m + pz_not_r[:, None] * (1.0 - q_row_m)
-    post_dw = (
-        dw[expand] * (0.5 * pu_m[:, None] + pq_m[:, None] * agree_dw)
-    ) / evidence[:, None]
-    q_col_m = q_col[expand]
-    agree_dt = pz_equal_r[:, None] * q_col_m + pz_not_r[:, None] * (1.0 - q_col_m)
-    post_dt = (
-        dt[expand] * (0.5 * pu_m[:, None] + pq_m[:, None] * agree_dt)
-    ) / evidence[:, None]
-    return post_z1, post_i1, post_dw, post_dt, evidence
+    # ---- per answer (n,) and (n, |F|) -------------------------------------
+    c1 = half_pu * (sum_equal + sum_not) + p_qualified * sum_not
+    c2 = p_qualified * (sum_equal - sum_not)
+    post_i1 = p_qualified * (s_q * sum_equal + (1.0 - s_q) * sum_not)
+    # q(d_w, d_t) per function, marginalised over the other variable's
+    # current weights: q_row for d_w, q_col for d_t.  The sums are formed in
+    # the gathered ``dw`` / ``dt`` rows, which this function owns.
+    factor = alpha * f_values
+    factor += ((1.0 - alpha) * poi_quality)[:, None]  # q_row
+    factor *= c2[:, None]
+    factor += c1[:, None]
+    post_dw = dw
+    post_dw *= factor
+    np.multiply(f_values, 1.0 - alpha, out=factor)
+    factor += (alpha * worker_quality)[:, None]  # q_col
+    factor *= c2[:, None]
+    factor += c1[:, None]
+    post_dt = dt
+    post_dt *= factor
+    return post_z1, post_i1, post_dw, post_dt, log_evidence
 
 
 def em_step(
@@ -762,89 +814,67 @@ def em_step(
     M-step into a *weighted* maximisation: each answer contributes its weight
     to both the posterior sums and the count denominators.  This is how
     exponential decay (old answers fade) and trust-aware down-weighting
-    (quarantined workers count less) enter the full refresh.  ``None`` takes
-    the exact unweighted code path — bit-identical to the historical kernel.
+    (quarantined workers count less) enter the full refresh.  ``None`` means
+    unit weights, and since ``x · 1.0 == x`` an all-ones vector gives a
+    bit-identical step.
     """
-    floor = PROBABILITY_FLOOR
-    p_qualified = np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor)
-    pz1 = np.clip(store.label_probs[tensor.r_label], 1e-9, 1.0 - 1e-9)
-    post_z1, post_i1, post_dw, post_dt, evidence = _estep_posteriors(
-        alpha=store.alpha,
-        p_qualified=p_qualified,
-        dw=store.distance_weights[tensor.a_worker],
-        dt=store.influence_weights[tensor.a_task],
-        f_values=tensor.f_values,
-        expand=tensor.r_answer,
-        pz1=pz1,
-        observed_one=tensor.responses == 1,
+    num_answers = tensor.num_answers
+    if answer_weights is None:
+        weights = np.ones(num_answers)
+    else:
+        weights = np.asarray(answer_weights, dtype=float)
+        if weights.shape != (num_answers,):
+            raise ValueError(
+                f"answer_weights must have shape ({num_answers},), got "
+                f"{weights.shape}"
+            )
+    a_worker = tensor.a_worker
+    a_task = tensor.a_task
+    post_z1, post_i1, post_dw, post_dt, log_evidence = _estep_posteriors(
+        store,
+        a_worker,
+        a_task,
+        tensor.f_values,
+        tensor.r_answer,
+        tensor.r_label,
+        tensor.responses == 1,
     )
+    # Per-answer weights scale the per-answer sums; a label response carries
+    # the weight of its answer.
+    post_z1 *= weights[tensor.r_answer]
+    post_i1 *= weights
+    post_dw *= weights[:, None]
+    post_dt *= weights[:, None]
+    log_likelihood = float(np.sum(weights * log_evidence))
+    label_weights = weights * tensor.num_labels[a_task]
 
     # ---- M-step: segment sums then per-entity renormalisation ---------------
     num_workers = tensor.num_workers
     num_tasks = tensor.num_tasks
     uniform = store.function_set.uniform_weights()
+    z_sums = np.bincount(
+        tensor.r_label, weights=post_z1, minlength=tensor.label_offsets[-1]
+    )
+    answers_per_task = np.bincount(a_task, weights=weights, minlength=num_tasks)
+    new_label_probs = np.clip(
+        z_sums / np.maximum(_DENOM_FLOOR, answers_per_task)[tensor.task_of_label],
+        0.0,
+        1.0,
+    )
 
-    if answer_weights is None:
-        log_likelihood = float(np.sum(np.log(evidence)))
-        z_sums = np.bincount(
-            tensor.r_label, weights=post_z1, minlength=tensor.label_offsets[-1]
-        )
-        answers_per_task = np.bincount(tensor.a_task, minlength=num_tasks)
-        new_label_probs = np.clip(
-            z_sums / np.maximum(1, answers_per_task)[tensor.task_of_label], 0.0, 1.0
-        )
+    labels_per_task = np.bincount(a_task, weights=label_weights, minlength=num_tasks)
+    dt_sums = _segment_sum_columns(post_dt, a_task, num_tasks)
+    new_influence = _normalise_rows(dt_sums, labels_per_task, uniform)
 
-        labels_per_task = np.bincount(tensor.r_task, minlength=num_tasks)
-        dt_sums = _segment_sum_columns(post_dt, tensor.r_task, num_tasks)
-        new_influence = _normalise_rows(dt_sums, labels_per_task, uniform)
-
-        labels_per_worker = np.bincount(tensor.r_worker, minlength=num_workers)
-        i_sums = np.bincount(tensor.r_worker, weights=post_i1, minlength=num_workers)
-        new_p_qualified = np.clip(i_sums / np.maximum(1, labels_per_worker), 0.0, 1.0)
-        dw_sums = _segment_sum_columns(post_dw, tensor.r_worker, num_workers)
-        new_distance_weights = _normalise_rows(dw_sums, labels_per_worker, uniform)
-    else:
-        weights = np.asarray(answer_weights, dtype=float)
-        if weights.shape != (tensor.num_answers,):
-            raise ValueError(
-                f"answer_weights must have shape ({tensor.num_answers},), got "
-                f"{weights.shape}"
-            )
-        w_m = weights[tensor.r_answer]  # per label response
-        log_likelihood = float(np.sum(w_m * np.log(evidence)))
-        # A zero-weight task/worker divides 0 by the floor below — identical
-        # to the unweighted kernel's max(1, count) treatment of empty rows,
-        # while genuinely fractional denominators stay exact.
-        denom_floor = 1e-9
-        z_sums = np.bincount(
-            tensor.r_label, weights=post_z1 * w_m, minlength=tensor.label_offsets[-1]
-        )
-        answers_per_task = np.bincount(
-            tensor.a_task, weights=weights, minlength=num_tasks
-        )
-        new_label_probs = np.clip(
-            z_sums / np.maximum(denom_floor, answers_per_task)[tensor.task_of_label],
-            0.0,
-            1.0,
-        )
-
-        labels_per_task = np.bincount(tensor.r_task, weights=w_m, minlength=num_tasks)
-        dt_sums = _segment_sum_columns(post_dt * w_m[:, None], tensor.r_task, num_tasks)
-        new_influence = _normalise_rows(dt_sums, labels_per_task, uniform)
-
-        labels_per_worker = np.bincount(
-            tensor.r_worker, weights=w_m, minlength=num_workers
-        )
-        i_sums = np.bincount(
-            tensor.r_worker, weights=post_i1 * w_m, minlength=num_workers
-        )
-        new_p_qualified = np.clip(
-            i_sums / np.maximum(denom_floor, labels_per_worker), 0.0, 1.0
-        )
-        dw_sums = _segment_sum_columns(
-            post_dw * w_m[:, None], tensor.r_worker, num_workers
-        )
-        new_distance_weights = _normalise_rows(dw_sums, labels_per_worker, uniform)
+    labels_per_worker = np.bincount(
+        a_worker, weights=label_weights, minlength=num_workers
+    )
+    i_sums = np.bincount(a_worker, weights=post_i1, minlength=num_workers)
+    new_p_qualified = np.clip(
+        i_sums / np.maximum(_DENOM_FLOOR, labels_per_worker), 0.0, 1.0
+    )
+    dw_sums = _segment_sum_columns(post_dw, a_worker, num_workers)
+    new_distance_weights = _normalise_rows(dw_sums, labels_per_worker, uniform)
 
     new_store = ArrayParameterStore(
         function_set=store.function_set,
@@ -879,41 +909,22 @@ def em_step_localized(
     accumulates sums for unaffected entities.
 
     This is the incremental updater's inner kernel: cost is
-    ``O(R · |L_t| · |F|)`` array work over the ``R`` selected rows plus
-    O(global sizes) zero-filled segment-sum allocations — no tensor or store
-    is ever rebuilt.
+    ``O(R · |L_t|)`` scalar work plus ``O(R · |F|)`` array work over the
+    ``R`` selected rows, plus O(global sizes) zero-filled segment-sum
+    allocations — no tensor or store is ever rebuilt.
     """
-    floor = PROBABILITY_FLOOR
     aw = tensor.a_worker[answer_rows]
     at = tensor.a_task[answer_rows]
-    f_values = tensor.f_values[answer_rows]
-    counts = tensor.num_labels[at]
-    starts = tensor.a_label_start[answer_rows]
-    total = int(counts.sum())
-    # Label rows of the selected answers (contiguous per answer).
-    expand = np.repeat(np.arange(answer_rows.size, dtype=np.intp), counts)
-    batch_starts = np.cumsum(counts) - counts
-    label_rows = (
-        np.arange(total, dtype=np.intp)
-        - np.repeat(batch_starts, counts)
-        + np.repeat(starts, counts)
-    )
+    expand, label_rows = _batch_label_rows(tensor, answer_rows)
     r_label = tensor.r_label[label_rows]
-    responses = tensor.responses[label_rows]
-    r_worker = aw[expand]
-    r_task = at[expand]
-
-    p_qualified = np.clip(store.p_qualified[aw], floor, 1.0 - floor)
-    pz1 = np.clip(store.label_probs[r_label], 1e-9, 1.0 - 1e-9)
     post_z1, post_i1, post_dw, post_dt, _ = _estep_posteriors(
-        alpha=store.alpha,
-        p_qualified=p_qualified,
-        dw=store.distance_weights[aw],
-        dt=store.influence_weights[at],
-        f_values=f_values,
-        expand=expand,
-        pz1=pz1,
-        observed_one=responses == 1,
+        store,
+        aw,
+        at,
+        tensor.f_values[answer_rows],
+        expand,
+        r_label,
+        tensor.responses[label_rows] == 1,
     )
 
     # ---- M-step restricted to the affected entities -------------------------
@@ -928,21 +939,22 @@ def em_step_localized(
         z_sums[label_slots] / denominators, 0.0, 1.0
     )
 
-    labels_per_task = np.bincount(r_task, minlength=num_tasks)
-    dt_sums = _segment_sum_columns(post_dt, r_task, num_tasks)
+    label_counts = tensor.num_labels[at]
+    labels_per_task = np.bincount(at, weights=label_counts, minlength=num_tasks)
+    dt_sums = _segment_sum_columns(post_dt, at, num_tasks)
     store.influence_weights[affected_tasks] = _normalise_rows(
         dt_sums[affected_tasks], labels_per_task[affected_tasks], uniform
     )
 
-    labels_per_worker = np.bincount(r_worker, minlength=num_workers)
-    i_sums = np.bincount(r_worker, weights=post_i1, minlength=num_workers)
+    labels_per_worker = np.bincount(aw, weights=label_counts, minlength=num_workers)
+    i_sums = np.bincount(aw, weights=post_i1, minlength=num_workers)
     store.p_qualified[affected_workers] = np.clip(
         i_sums[affected_workers]
         / np.maximum(1, labels_per_worker[affected_workers]),
         0.0,
         1.0,
     )
-    dw_sums = _segment_sum_columns(post_dw, r_worker, num_workers)
+    dw_sums = _segment_sum_columns(post_dw, aw, num_workers)
     store.distance_weights[affected_workers] = _normalise_rows(
         dw_sums[affected_workers], labels_per_worker[affected_workers], uniform
     )
@@ -1092,13 +1104,15 @@ class SufficientStatCache:
     micro-batch sweep O(entity-history) and is exactly the cost that grows
     with the stream.  This cache keeps the M-step sums themselves:
 
-    * per label row, the posterior contributions of that row as last
-      computed (``z1``, ``i1`` and the (M, |F|) ``dw``/``dt`` blocks);
+    * per answer row, the posterior sums of that answer as last computed
+      (``i1`` and the (N, |F|) ``dw``/``dt`` rows, reduced over the answer's
+      label responses exactly as :func:`_estep_posteriors` returns them), and
+      per label row only ``z1``, which feeds that row's own label slot;
     * per entity, the running totals those rows sum into (``slot_z`` per
       label slot, ``i``/``dw`` per worker, ``dt`` per task) plus the pure
       count denominators (labels per worker/task, answers per task).
 
-    A batch sweep then *folds* only the batch's label rows: it recomputes
+    A batch sweep then *folds* only the batch's answer rows: it recomputes
     their posteriors under the current parameters, adds the difference
     against the cached values into the totals, and runs the closed-form
     M-step straight off the totals.  Rows outside the batch keep the
@@ -1114,15 +1128,15 @@ class SufficientStatCache:
     **Exponential decay** (``decay`` < 1): the cache additionally tracks an
     integer *epoch*.  :meth:`decay_step` multiplies every running total *and*
     every count denominator by ``decay`` and advances the epoch — O(W+T+S),
-    touching no rows.  Each label row remembers the epoch it arrived at
+    touching no rows.  Each answer row remembers the epoch it arrived at
     (``row_epoch``; pre-existing rows may be back-dated via ``row_ages``), so
     its live contribution to the totals is ``decay^(epoch - row_epoch) ×
     posterior``.  A fold therefore adds ``scale · (new − cached)`` with
     ``scale = decay^(epoch - row_epoch)`` — re-aging costs O(changed rows),
     the row's numerator stays consistent with its decayed denominator, and a
     row that is never re-folded fades at exactly the same rate as its count.
-    ``decay == 1.0`` skips every weighting (all scales are 1) and is
-    bit-identical to the undecayed cache.
+    At ``decay == 1.0`` every scale is exactly 1.0, so the same code is
+    bit-identical to an unweighted cache.
     """
 
     def __init__(
@@ -1134,25 +1148,29 @@ class SufficientStatCache:
     ) -> None:
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {decay}")
+        num_answers = tensor.num_answers
+        if row_ages is None:
+            ages = np.zeros(num_answers, dtype=float)
+        else:
+            ages = np.asarray(row_ages, dtype=float)
+            if ages.shape != (num_answers,):
+                raise ValueError(
+                    f"row_ages must have shape ({num_answers},), got {ages.shape}"
+                )
         self.tensor = tensor
         self.store = store
         self._decay = float(decay)
         self._epoch = 0
-        # Empty-entity denominators divide 0 by this floor; the decayed path
-        # needs a tiny floor because legitimately faded counts sit below 1.
-        self._denom_floor = 1.0 if decay == 1.0 else 1e-9
-        floor = PROBABILITY_FLOOR
-        p_qualified = np.clip(store.p_qualified[tensor.a_worker], floor, 1.0 - floor)
-        pz1 = np.clip(store.label_probs[tensor.r_label], 1e-9, 1.0 - 1e-9)
+        a_worker = tensor.a_worker
+        a_task = tensor.a_task
         post_z1, post_i1, post_dw, post_dt, _ = _estep_posteriors(
-            alpha=store.alpha,
-            p_qualified=p_qualified,
-            dw=store.distance_weights[tensor.a_worker],
-            dt=store.influence_weights[tensor.a_task],
-            f_values=tensor.f_values,
-            expand=tensor.r_answer,
-            pz1=pz1,
-            observed_one=tensor.responses == 1,
+            store,
+            a_worker,
+            a_task,
+            tensor.f_values,
+            tensor.r_answer,
+            tensor.r_label,
+            tensor.responses == 1,
         )
         num_workers = store.num_workers
         num_tasks = store.num_tasks
@@ -1161,67 +1179,36 @@ class SufficientStatCache:
         self._row_i1 = post_i1
         self._row_dw = post_dw
         self._row_dt = post_dt
-        if decay == 1.0:
-            self._row_epoch = None
-            self._slot_z = np.bincount(
-                tensor.r_label, weights=post_z1, minlength=num_slots
-            )
-            self._worker_i = np.bincount(
-                tensor.r_worker, weights=post_i1, minlength=num_workers
-            )
-            self._worker_dw = _segment_sum_columns(
-                post_dw, tensor.r_worker, num_workers
-            )
-            self._task_dt = _segment_sum_columns(post_dt, tensor.r_task, num_tasks)
-            self._worker_labels = np.bincount(
-                tensor.r_worker, minlength=num_workers
-            ).astype(float)
-            self._task_labels = np.bincount(tensor.r_task, minlength=num_tasks).astype(
-                float
-            )
-            self._task_answers = np.bincount(
-                tensor.a_task, minlength=num_tasks
-            ).astype(float)
-        else:
-            if row_ages is None:
-                ages = np.zeros(tensor.num_answers, dtype=float)
-            else:
-                ages = np.asarray(row_ages, dtype=float)
-                if ages.shape != (tensor.num_answers,):
-                    raise ValueError(
-                        f"row_ages must have shape ({tensor.num_answers},), got "
-                        f"{ages.shape}"
-                    )
-            answer_w = self._decay**ages
-            w_m = answer_w[tensor.r_answer]
-            # A row's arrival epoch relative to epoch 0 is minus its age, so
-            # decay^(epoch - row_epoch) reproduces its weight at any epoch.
-            self._row_epoch = -ages[tensor.r_answer]
-            self._slot_z = np.bincount(
-                tensor.r_label, weights=post_z1 * w_m, minlength=num_slots
-            )
-            self._worker_i = np.bincount(
-                tensor.r_worker, weights=post_i1 * w_m, minlength=num_workers
-            )
-            self._worker_dw = _segment_sum_columns(
-                post_dw * w_m[:, None], tensor.r_worker, num_workers
-            )
-            self._task_dt = _segment_sum_columns(
-                post_dt * w_m[:, None], tensor.r_task, num_tasks
-            )
-            self._worker_labels = np.bincount(
-                tensor.r_worker, weights=w_m, minlength=num_workers
-            )
-            self._task_labels = np.bincount(
-                tensor.r_task, weights=w_m, minlength=num_tasks
-            )
-            self._task_answers = np.bincount(
-                tensor.a_task, weights=answer_w, minlength=num_tasks
-            )
+        # An answer's arrival epoch relative to epoch 0 is minus its age, so
+        # decay^(epoch - row_epoch) reproduces its weight at any epoch.
+        self._row_epoch = -ages
+        answer_w = self._decay**ages
+        label_w = answer_w * tensor.num_labels[a_task]
+        self._slot_z = np.bincount(
+            tensor.r_label,
+            weights=post_z1 * answer_w[tensor.r_answer],
+            minlength=num_slots,
+        )
+        self._worker_i = np.bincount(
+            a_worker, weights=post_i1 * answer_w, minlength=num_workers
+        )
+        self._worker_dw = _segment_sum_columns(
+            post_dw * answer_w[:, None], a_worker, num_workers
+        )
+        self._task_dt = _segment_sum_columns(
+            post_dt * answer_w[:, None], a_task, num_tasks
+        )
+        self._worker_labels = np.bincount(
+            a_worker, weights=label_w, minlength=num_workers
+        )
+        self._task_labels = np.bincount(a_task, weights=label_w, minlength=num_tasks)
+        self._task_answers = np.bincount(
+            a_task, weights=answer_w, minlength=num_tasks
+        )
         self._num_workers = num_workers
         self._num_tasks = num_tasks
         self._num_slots = num_slots
-        self._synced_answers = tensor.num_answers
+        self._synced_answers = num_answers
         self._synced_label_rows = tensor.num_label_responses
 
     @property
@@ -1258,27 +1245,18 @@ class SufficientStatCache:
     def sync_growth(self) -> None:
         """Absorb rows and entities appended to the tensor since the last fold.
 
-        New label rows start with a zero cached contribution (their first fold
-        adds the full posterior); new entities start with zero totals; the
-        count denominators are advanced by the fresh answer rows.  Re-answers
-        rewrite existing rows in place and are recomputed by the fold itself,
-        so only genuinely new rows matter here.
+        New answer and label rows start with a zero cached contribution
+        (their first fold adds the full posterior); new entities start with
+        zero totals; the count denominators are advanced by the fresh answer
+        rows.  Re-answers rewrite existing rows in place and are recomputed
+        by the fold itself, so only genuinely new rows matter here.
         """
         tensor = self.tensor
         num_rows = tensor.num_label_responses
         if num_rows > self._synced_label_rows:
             old = self._synced_label_rows
             self._row_z1 = _grown_buffer(self._row_z1, num_rows)
-            self._row_i1 = _grown_buffer(self._row_i1, num_rows)
-            self._row_dw = _grown_buffer(self._row_dw, num_rows)
-            self._row_dt = _grown_buffer(self._row_dt, num_rows)
             self._row_z1[old:num_rows] = 0.0
-            self._row_i1[old:num_rows] = 0.0
-            self._row_dw[old:num_rows] = 0.0
-            self._row_dt[old:num_rows] = 0.0
-            if self._row_epoch is not None:
-                self._row_epoch = _grown_buffer(self._row_epoch, num_rows)
-                self._row_epoch[old:num_rows] = float(self._epoch)
             self._synced_label_rows = num_rows
         num_workers = tensor.num_workers
         if num_workers > self._num_workers:
@@ -1308,7 +1286,16 @@ class SufficientStatCache:
             self._num_slots = num_slots
         num_answers = tensor.num_answers
         if num_answers > self._synced_answers:
-            fresh = slice(self._synced_answers, num_answers)
+            old = self._synced_answers
+            fresh = slice(old, num_answers)
+            self._row_i1 = _grown_buffer(self._row_i1, num_answers)
+            self._row_dw = _grown_buffer(self._row_dw, num_answers)
+            self._row_dt = _grown_buffer(self._row_dt, num_answers)
+            self._row_epoch = _grown_buffer(self._row_epoch, num_answers)
+            self._row_i1[fresh] = 0.0
+            self._row_dw[fresh] = 0.0
+            self._row_dt[fresh] = 0.0
+            self._row_epoch[fresh] = float(self._epoch)
             aw = tensor.a_worker[fresh]
             at = tensor.a_task[fresh]
             counts = tensor.num_labels[at].astype(float)
@@ -1327,77 +1314,54 @@ class SufficientStatCache:
         """Recompute the posteriors of ``answer_rows`` and fold the deltas in.
 
         Returns the number of label rows recomputed.  Cost is O(batch label
-        rows · |F|) plus O(W + T + S) for the zero-filled segment sums —
-        independent of how much history the touched entities have.
+        rows) scalar work plus O(batch answers · |F|) plus O(W + T + S) for
+        the zero-filled segment sums — independent of how much history the
+        touched entities have.
         """
         tensor = self.tensor
-        store = self.store
-        floor = PROBABILITY_FLOOR
         aw = tensor.a_worker[answer_rows]
         at = tensor.a_task[answer_rows]
-        f_values = tensor.f_values[answer_rows]
-        counts = tensor.num_labels[at]
-        starts = tensor.a_label_start[answer_rows]
-        total = int(counts.sum())
-        expand = np.repeat(np.arange(answer_rows.size, dtype=np.intp), counts)
-        batch_starts = np.cumsum(counts) - counts
-        label_rows = (
-            np.arange(total, dtype=np.intp)
-            - np.repeat(batch_starts, counts)
-            + np.repeat(starts, counts)
-        )
+        expand, label_rows = _batch_label_rows(tensor, answer_rows)
         r_label = tensor.r_label[label_rows]
-        responses = tensor.responses[label_rows]
-        r_worker = aw[expand]
-        r_task = at[expand]
-
-        p_qualified = np.clip(store.p_qualified[aw], floor, 1.0 - floor)
-        pz1 = np.clip(store.label_probs[r_label], 1e-9, 1.0 - 1e-9)
         post_z1, post_i1, post_dw, post_dt, _ = _estep_posteriors(
-            alpha=store.alpha,
-            p_qualified=p_qualified,
-            dw=store.distance_weights[aw],
-            dt=store.influence_weights[at],
-            f_values=f_values,
-            expand=expand,
-            pz1=pz1,
-            observed_one=responses == 1,
-        )
-        if self._row_epoch is None:
-            delta_z1 = post_z1 - self._row_z1[label_rows]
-            delta_i1 = post_i1 - self._row_i1[label_rows]
-            delta_dw = post_dw - self._row_dw[label_rows]
-            delta_dt = post_dt - self._row_dt[label_rows]
-        else:
-            # Re-aging O(changed rows): the row's live weight in the totals is
-            # decay^(epoch - arrival epoch), applied to old and new posterior
-            # alike so numerator and (globally decayed) denominator agree.
-            scale = self._decay ** (self._epoch - self._row_epoch[label_rows])
-            delta_z1 = scale * (post_z1 - self._row_z1[label_rows])
-            delta_i1 = scale * (post_i1 - self._row_i1[label_rows])
-            delta_dw = scale[:, None] * (post_dw - self._row_dw[label_rows])
-            delta_dt = scale[:, None] * (post_dt - self._row_dt[label_rows])
-        self._slot_z[: self._num_slots] += np.bincount(
+            self.store,
+            aw,
+            at,
+            tensor.f_values[answer_rows],
+            expand,
             r_label,
-            weights=delta_z1,
-            minlength=self._num_slots,
+            tensor.responses[label_rows] == 1,
         )
-        self._worker_i[: self._num_workers] += np.bincount(
-            r_worker,
-            weights=delta_i1,
-            minlength=self._num_workers,
-        )
-        self._worker_dw[: self._num_workers] += _segment_sum_columns(
-            delta_dw, r_worker, self._num_workers
-        )
-        self._task_dt[: self._num_tasks] += _segment_sum_columns(
-            delta_dt, r_task, self._num_tasks
+        # Re-aging O(changed rows): an answer's live weight in the totals is
+        # decay^(epoch - arrival epoch), applied to old and new posterior
+        # alike so numerator and (globally decayed) denominator agree.  Each
+        # delta is formed in the gathered copy of the cached rows.
+        scale = self._decay ** (self._epoch - self._row_epoch[answer_rows])
+        delta = self._row_z1[label_rows]
+        np.subtract(post_z1, delta, out=delta)
+        delta *= scale[expand]
+        self._slot_z[: self._num_slots] += np.bincount(
+            r_label, weights=delta, minlength=self._num_slots
         )
         self._row_z1[label_rows] = post_z1
-        self._row_i1[label_rows] = post_i1
-        self._row_dw[label_rows] = post_dw
-        self._row_dt[label_rows] = post_dt
-        return total
+        del delta, post_z1
+        delta = self._row_i1[answer_rows]
+        np.subtract(post_i1, delta, out=delta)
+        delta *= scale
+        self._worker_i[: self._num_workers] += np.bincount(
+            aw, weights=delta, minlength=self._num_workers
+        )
+        self._row_i1[answer_rows] = post_i1
+        for totals, cached, post, index, size in (
+            (self._worker_dw, self._row_dw, post_dw, aw, self._num_workers),
+            (self._task_dt, self._row_dt, post_dt, at, self._num_tasks),
+        ):
+            delta = cached[answer_rows]
+            np.subtract(post, delta, out=delta)
+            delta *= scale[:, None]
+            totals[:size] += _segment_sum_columns(delta, index, size)
+            cached[answer_rows] = post
+        return int(label_rows.size)
 
     def estimate(
         self,
@@ -1415,7 +1379,7 @@ class SufficientStatCache:
         uniform = store.function_set.uniform_weights()
         if label_slots.size:
             denominators = np.maximum(
-                self._denom_floor,
+                _DENOM_FLOOR,
                 self._task_answers[self.tensor.task_of_label[label_slots]],
             )
             store.label_probs[label_slots] = np.clip(
@@ -1430,7 +1394,7 @@ class SufficientStatCache:
         if affected_workers.size:
             store.p_qualified[affected_workers] = np.clip(
                 self._worker_i[affected_workers]
-                / np.maximum(self._denom_floor, self._worker_labels[affected_workers]),
+                / np.maximum(_DENOM_FLOOR, self._worker_labels[affected_workers]),
                 0.0,
                 1.0,
             )

@@ -108,7 +108,7 @@ class IncrementalUpdater:
     early_exit_threshold: float = 0.0
     #: Run micro-batch sweeps off a :class:`~repro.core.em_kernel.SufficientStatCache`
     #: instead of re-gathering whole entity histories: each sweep folds only
-    #: the batch's own label rows into cached per-entity totals, making
+    #: the batch's own answer rows into cached per-entity totals, making
     #: :meth:`apply` O(batch) rather than O(entity-history).  Requires a
     #: positive :attr:`early_exit_threshold` (the cache's incremental-EM
     #: semantics already accept convergence-threshold-sized drift; with a
@@ -131,7 +131,7 @@ class IncrementalUpdater:
     #: Optional per-worker trust weight provider (``worker_id -> weight``),
     #: consulted when building full-refresh weights so distrusted workers'
     #: historical answers are down-weighted.  Returning ``1.0`` for every
-    #: worker keeps the refresh on the exact unweighted path.
+    #: worker refreshes with ``answer_weights=None``, bit-equal to unit weights.
     trust_weight_fn: "Callable[[str], float] | None" = None
     #: Admission prior for workers first seen on the live stream.  ``None``
     #: keeps the footnote-3 trusted seed (``p_qualified = 1.0``) — the
@@ -359,7 +359,7 @@ class IncrementalUpdater:
         live store (copied because the ingest thread's localized sweeps keep
         mutating the original while the background fit runs).
         ``answer_weights`` is the decay × trust weighting of the snapshot's
-        rows frozen at capture time (``None`` on the exact unweighted path) —
+        rows frozen at capture time (``None`` when every weight is 1.0) —
         batches applied mid-fit advance the live decay epoch without
         disturbing the captured fit.  The live state itself is not touched —
         batches keep applying against it.
@@ -537,11 +537,12 @@ class IncrementalUpdater:
         return self._decay_epoch - self._arrival_epochs[: self._tensor.num_answers]
 
     def _refresh_weights(self) -> np.ndarray | None:
-        """Per-answer weights for a full refresh, or ``None`` for the exact path.
+        """Per-answer weights for a full refresh, or ``None`` for unit weights.
 
         The product of the decay aging (``stat_decay ** age``) and the
         per-worker trust weights.  ``None`` whenever every weight is exactly
-        1.0, which keeps the refresh on the bit-identical unweighted path.
+        1.0 — :func:`~repro.core.em_kernel.em_step` reads that as unit
+        weights, bit-identical to passing the all-ones vector.
         """
         tensor = self._tensor
         if tensor is None:

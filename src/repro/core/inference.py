@@ -235,7 +235,7 @@ class LocationAwareInference(LabelInferenceModel):
         estimate already gathered into a store row-aligned with ``tensor``
         (the updater's live store), skipping the dict→array gather too.
         ``answer_weights`` (one weight per tensor answer row) runs a weighted
-        EM — the decayed/trust-aware refresh; ``None`` is the exact kernel.
+        EM — the decayed/trust-aware refresh; ``None`` means unit weights.
         """
         self._last_result = self.run_em(
             None,
@@ -346,8 +346,8 @@ class LocationAwareInference(LabelInferenceModel):
         optionally provides the warm-start estimate pre-gathered into a store
         row-aligned with that tensor (it is only honoured when its row order
         matches; results are identical either way).  ``answer_weights`` (one
-        weight per tensor answer row) runs a weighted EM; ``None`` is the
-        exact kernel.
+        weight per tensor answer row) runs a weighted EM; ``None`` means unit
+        weights.
         """
         if isinstance(initial, ArrayParameterStore):
             initial = initial.to_model()

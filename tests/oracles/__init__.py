@@ -9,7 +9,9 @@ at a time, with no use of the batched kernels it checks:
   Algorithm 1, the oracle of :mod:`repro.core.accuracy_kernel` and the
   AccOpt engines;
 * :mod:`oracles.dawid_skene` — the per-observation Dawid & Skene (1979) loop,
-  the oracle of :class:`~repro.baselines.dawid_skene.DawidSkeneInference`.
+  the oracle of :class:`~repro.baselines.dawid_skene.DawidSkeneInference`;
+* :mod:`oracles.hull` — Andrew's monotone chain over every point, the oracle
+  of the prefiltered :func:`~repro.spatial.geometry.convex_hull_indices`.
 
 Nothing under ``src/`` imports these modules; ``tests/test_layering.py``
 enforces that.

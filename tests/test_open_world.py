@@ -21,6 +21,7 @@ from oracles import em as oracle
 from oracles.accopt import ScalarAccOptAssigner
 
 from repro.assign.accopt import AccOptAssigner
+from repro.core import em_kernel
 from repro.core.em_kernel import AnswerTensor
 from repro.core.incremental import IncrementalUpdater
 from repro.core.inference import LocationAwareInference
@@ -130,7 +131,6 @@ def assert_tensors_equal(a: AnswerTensor, b: AnswerTensor, atol=1e-12):
     np.testing.assert_allclose(a.f_values, b.f_values, rtol=0, atol=atol)
     np.testing.assert_array_equal(a.r_answer, b.r_answer)
     np.testing.assert_array_equal(a.r_worker, b.r_worker)
-    np.testing.assert_array_equal(a.r_task, b.r_task)
     np.testing.assert_array_equal(a.r_label, b.r_label)
     np.testing.assert_array_equal(a.responses, b.responses)
     np.testing.assert_array_equal(a.task_of_label, b.task_of_label)
@@ -221,6 +221,72 @@ class TestIncrementalTensor:
             live.responses[start : start + flipped.num_labels],
             np.asarray(flipped.responses, dtype=float),
         )
+
+    def test_decayed_cache_folds_reanswer_like_fresh_build(
+        self, small_dataset, worker_pool, distance_model, collected_answers
+    ):
+        """Aged totals, an in-place re-answer and new rows, folded, equal a
+        cache built from scratch over the grown tensor at the rows' ages."""
+        inference = LocationAwareInference(
+            small_dataset.tasks, worker_pool.workers, distance_model
+        )
+        config = inference.config
+        all_answers = list(collected_answers)
+        prefix = all_answers[:-8]
+        seen = {(a.worker_id, a.task_id) for a in prefix}
+        seen_workers = {w for w, _ in seen}
+        seen_tasks = {t for _, t in seen}
+        fresh = [
+            a
+            for a in all_answers[-8:]
+            if a.worker_id in seen_workers and a.task_id in seen_tasks
+        ]
+        assert fresh
+        live = self._build(inference, AnswerSet(prefix))
+        live.enable_row_tracking()
+        store = em_kernel.initial_store(
+            live, config.function_set, config.alpha, config.initial_p_qualified
+        )
+        for _ in range(3):
+            store, _ = em_kernel.em_step(live, store)
+        decay = 0.7
+        ages = np.arange(live.num_answers) % 4
+        cache = em_kernel.SufficientStatCache(live, store, decay=decay, row_ages=ages)
+        cache.decay_step()
+        cache.decay_step()
+        reanswers = [
+            Answer(a.worker_id, a.task_id, tuple(1 - r for r in a.responses))
+            for a in prefix[::5]
+        ]
+        result = live.append_answers(
+            reanswers + fresh,
+            inference._tasks,
+            inference._workers,
+            distance_model,
+            config.function_set,
+        )
+        assert live.num_answers == len(prefix) + len(fresh)
+        cache.sync_growth()
+        assert cache.fold(np.unique(result.rows)) == sum(
+            a.num_labels for a in reanswers + fresh
+        )
+        # Re-answers keep their arrival epoch; new rows arrive at age 0.
+        now_ages = np.concatenate([ages + 2, np.zeros(len(fresh), dtype=int)])
+        rebuilt = em_kernel.SufficientStatCache(
+            live, store, decay=decay, row_ages=now_ages
+        )
+        for name in (
+            "_slot_z",
+            "_worker_i",
+            "_worker_dw",
+            "_task_dt",
+            "_worker_labels",
+            "_task_labels",
+            "_task_answers",
+        ):
+            np.testing.assert_allclose(
+                getattr(cache, name), getattr(rebuilt, name), rtol=0, atol=1e-9
+            )
 
     def test_same_batch_resubmission_collapses_onto_one_row(
         self, small_dataset, worker_pool, distance_model, collected_answers

@@ -2,11 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.hull import convex_hull_indices as oracle_hull_indices
 
+from repro.spatial.distance import max_pairwise_distance
 from repro.spatial.geometry import (
     GeoPoint,
+    _strictly_inside_octagon,
     centroid,
+    convex_hull_indices,
     euclidean_distance,
     haversine_distance,
 )
@@ -140,3 +147,67 @@ class TestConvexHull:
 
         assert convex_hull_indices(np.array([]), np.array([])).size == 0
         assert convex_hull_indices(np.array([1.0]), np.array([2.0])).tolist() == [0]
+
+
+# Integer coordinates keep every orientation test exact, so the prefiltered
+# chain and the oracle's chain over every point must agree index for index.
+_grid = st.integers(min_value=-40, max_value=40)
+_random_cloud = st.lists(st.tuples(_grid, _grid), min_size=0, max_size=120)
+_duplicated_cloud = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=0, max_size=120
+)
+_collinear_cloud = st.builds(
+    lambda slope, offset, xs: [(x, slope * x + offset) for x in xs],
+    st.integers(-3, 3),
+    st.integers(-10, 10),
+    st.lists(st.integers(-20, 20), min_size=0, max_size=60),
+)
+# Every integer point on the circle of radius 25 (Pythagorean triples).
+_CIRCLE_25 = sorted(
+    {
+        (sx * a, sy * b)
+        for a, b in ((0, 25), (7, 24), (15, 20), (20, 15), (24, 7), (25, 0))
+        for sx in (1, -1)
+        for sy in (1, -1)
+    }
+)
+_cocircular_cloud = st.builds(
+    lambda picks, interior: picks + interior,
+    st.lists(st.sampled_from(_CIRCLE_25), min_size=0, max_size=40),
+    st.lists(st.tuples(st.integers(-10, 10), st.integers(-10, 10)), max_size=40),
+)
+_tiny_cloud = st.lists(st.tuples(_grid, _grid), min_size=0, max_size=4)
+_clouds = st.one_of(
+    _random_cloud, _duplicated_cloud, _collinear_cloud, _cocircular_cloud, _tiny_cloud
+)
+
+
+class TestConvexHullOracle:
+    """The prefiltered hull vs the monotone chain over every point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cloud=_clouds, scale=st.sampled_from([1.0, 0.25, 1024.0]))
+    def test_matches_unfiltered_chain(self, cloud, scale):
+        xs = np.asarray([p[0] for p in cloud], dtype=float) * scale
+        ys = np.asarray([p[1] for p in cloud], dtype=float) * scale
+        np.testing.assert_array_equal(
+            convex_hull_indices(xs, ys), oracle_hull_indices(xs, ys)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(cloud=_clouds)
+    def test_hull_diameter_bit_equal_to_bruteforce(self, cloud):
+        points = [GeoPoint(float(x), float(y)) for x, y in cloud]
+        assert max_pairwise_distance(points, method="hull") == max_pairwise_distance(
+            points, method="bruteforce"
+        )
+
+    def test_prefilter_drops_interior_of_large_inputs(self):
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(116.0, 117.0, size=5000)
+        ys = rng.uniform(39.0, 40.0, size=5000)
+        inside = _strictly_inside_octagon(xs, ys)
+        assert inside.sum() > 0.9 * xs.size
+        np.testing.assert_array_equal(
+            convex_hull_indices(xs, ys), oracle_hull_indices(xs, ys)
+        )
